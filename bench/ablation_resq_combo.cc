@@ -47,11 +47,11 @@ runCase(bool with_iat, std::uint32_t ring_entries, double scale,
 
     core::IatParams params;
     params.interval_seconds = 5e-3;
-    bench::PolicyRuntime runtime;
-    runtime.attach(with_iat ? bench::Policy::Iat
-                            : bench::Policy::Baseline,
-                   platform, world.registry(), engine, params,
-                   core::TenantModel::Aggregation);
+    const auto policy = core::makePolicy(
+        with_iat ? core::PolicyKind::Iat : core::PolicyKind::Static,
+        platform.pqos(), world.registry(), params,
+        core::TenantModel::Aggregation);
+    fault::attachPolicy(engine, *policy, params.interval_seconds);
 
     engine.run(0.06 * scale);
     world.resetStats();

@@ -43,7 +43,10 @@ main(int argc, char **argv)
     for (const auto &scenario : bench::bakeoffScenarios()) {
         if (!only.empty() && scenario != only)
             continue;
-        for (const auto policy : bench::allPolicies()) {
+        for (const auto policy : core::allPolicyKinds()) {
+            // The ablation is a Fig 10 variant, not a bakeoff entry.
+            if (policy == core::PolicyKind::IatNoDdio)
+                continue;
             const auto r = bench::bakeoffRunCase(policy, scenario,
                                                  plan, scale, seed);
             table.addRow({scenario, bench::figureLabel(policy),

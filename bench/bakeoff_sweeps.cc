@@ -14,10 +14,10 @@
  *    SoftwareStack priority) keep running -- they are the machine,
  *    not a contender -- and solo passes are always fault-free: the
  *    reference is the ideal machine.
- *  - one policy pass with all workloads live, the policy attached
- *    through the same PolicyRuntime the figure benches use, and the
- *    fault plan (if any) armed after attach per the injector's
- *    lifecycle contract.
+ *  - one policy pass with all workloads live, the policy built by
+ *    core::makePolicy() and hooked by fault::attachPolicy() like in
+ *    the figure benches, and the fault plan (if any) armed after
+ *    attach per the injector's lifecycle contract.
  *
  * Fairness comes out of computeFairness() (bench/common.hh): per
  * tenant slowdown = IPC_solo / IPC_policy, Jain's index over
@@ -358,7 +358,7 @@ bakeoffScenarios()
 }
 
 BakeoffResult
-bakeoffRunCase(Policy policy, const std::string &scenario,
+bakeoffRunCase(core::PolicyKind kind, const std::string &scenario,
                const fault::FaultPlan &plan, double scale,
                std::uint64_t seed)
 {
@@ -387,9 +387,10 @@ bakeoffRunCase(Policy policy, const std::string &scenario,
     if (effective.any())
         injector = std::make_unique<fault::FaultInjector>(effective);
 
-    PolicyRuntime runtime;
-    runtime.attach(policy, platform, registry, engine, params,
-                   world->model(), nullptr, injector.get());
+    const auto policy = core::makePolicy(
+        kind, platform.pqos(), registry, params, world->model());
+    fault::attachPolicy(engine, *policy, params.interval_seconds,
+                        injector.get());
     if (injector) {
         world->wireNics(*injector);
         injector->setRegistry(&registry);
@@ -439,8 +440,8 @@ bakeoffTrial(const exp::TrialContext &ctx)
 {
     const std::string scenario = ctx.requireString("scenario");
     const std::string policy_name = ctx.requireString("policy");
-    Policy policy;
-    if (!parsePolicy(policy_name, policy))
+    core::PolicyKind kind;
+    if (!core::parsePolicyKind(policy_name, kind))
         throw std::runtime_error("unknown policy '" + policy_name +
                                  "'");
     const bool faults = ctx.getInt("faults", 0) != 0;
@@ -449,7 +450,7 @@ bakeoffTrial(const exp::TrialContext &ctx)
                           : fault::FaultPlan{};
 
     const auto r =
-        bakeoffRunCase(policy, scenario, plan, ctx.scale, ctx.seed);
+        bakeoffRunCase(kind, scenario, plan, ctx.scale, ctx.seed);
 
     exp::TrialResult result;
     result.add("tput_mps", r.tput_mps);

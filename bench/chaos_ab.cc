@@ -96,7 +96,7 @@ main(int argc, char **argv)
     unsigned reference_ddio = 0;
     for (const auto &c : cases) {
         const auto r = bench::chaosRunCase(
-            bench::Policy::Iat, c.faults ? plan : fault::FaultPlan{},
+            core::PolicyKind::Iat, c.faults ? plan : fault::FaultPlan{},
             c.hardening, scale, seed);
         if (!c.faults) {
             reference_mpps = r.tx_mpps;

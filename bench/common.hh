@@ -1,7 +1,9 @@
 /**
  * @file
- * Shared bench harness plumbing: policy selection and attachment,
- * measurement-window helpers, and output conventions.
+ * Shared bench harness plumbing: policy labels, fairness,
+ * measurement-window helpers, and output conventions. Benches build
+ * policies with core::makePolicy() and hook them with
+ * fault::attachPolicy().
  *
  * Every bench binary regenerates one table or figure of the paper
  * (see DESIGN.md's experiment index), prints it as an aligned table,
@@ -33,199 +35,22 @@
 
 namespace iat::bench {
 
-/** The management policies compared in SS VI plus the related-work
- *  controllers of the bakeoff (ROADMAP "Policy bakeoff"). */
-enum class Policy
-{
-    Baseline, ///< static CAT, default DDIO, no dynamics
-    CoreOnly, ///< dynamic core allocation, I/O-blind
-    IoIso,    ///< Core-only + DDIO ways excluded from cores
-    Iat,      ///< the full daemon
-    IatNoDdioTuning, ///< IAT with footnote-3 ablation (Fig 10)
-    Ioca,     ///< IOCA watermark DDIO controller (PAPERS #1)
-    Lfoc,     ///< LFOC sensitivity clustering (PAPERS #3)
-};
-
-/**
- * Machine label, unique per enumerator. The ablated daemon prints as
- * "IAT-noddio" so CSV/JSONL rows from ablation runs can never be
- * mistaken for full-IAT rows (they used to collide on "IAT").
- */
-inline const char *
-toString(Policy policy)
-{
-    switch (policy) {
-      case Policy::Baseline: return "baseline";
-      case Policy::CoreOnly: return "core-only";
-      case Policy::IoIso: return "io-iso";
-      case Policy::Iat: return "IAT";
-      case Policy::IatNoDdioTuning: return "IAT-noddio";
-      case Policy::Ioca: return "ioca";
-      case Policy::Lfoc: return "lfoc";
-    }
-    return "?";
-}
-
 /**
  * Paper-facing label: Fig 10 presents the footnote-3 ablated daemon
  * simply as "IAT", so figure tables use this; machine-readable
- * output (CSV/JSONL) uses toString().
+ * output (CSV/JSONL) uses core::toString().
  */
 inline const char *
-figureLabel(Policy policy)
+figureLabel(core::PolicyKind kind)
 {
-    if (policy == Policy::IatNoDdioTuning)
+    if (kind == core::PolicyKind::IatNoDdio)
         return "IAT";
-    if (policy == Policy::Ioca)
+    if (kind == core::PolicyKind::Ioca)
         return "IOCA";
-    if (policy == Policy::Lfoc)
+    if (kind == core::PolicyKind::Lfoc)
         return "LFOC";
-    return toString(policy);
+    return core::toString(kind);
 }
-
-/** Parse a machine label back into a Policy; false when unknown. */
-inline bool
-parsePolicy(const std::string &name, Policy &out)
-{
-    if (name == "baseline")
-        out = Policy::Baseline;
-    else if (name == "core-only")
-        out = Policy::CoreOnly;
-    else if (name == "io-iso")
-        out = Policy::IoIso;
-    else if (name == "IAT" || name == "iat")
-        out = Policy::Iat;
-    else if (name == "IAT-noddio" || name == "iat-noddio")
-        out = Policy::IatNoDdioTuning;
-    else if (name == "ioca" || name == "IOCA")
-        out = Policy::Ioca;
-    else if (name == "lfoc" || name == "LFOC")
-        out = Policy::Lfoc;
-    else
-        return false;
-    return true;
-}
-
-/** The core-layer kind behind a bench Policy. */
-inline core::PolicyKind
-policyKind(Policy policy)
-{
-    switch (policy) {
-      case Policy::Baseline: return core::PolicyKind::Static;
-      case Policy::CoreOnly: return core::PolicyKind::CoreOnly;
-      case Policy::IoIso: return core::PolicyKind::IoIso;
-      case Policy::Iat: return core::PolicyKind::Iat;
-      case Policy::IatNoDdioTuning: return core::PolicyKind::IatNoDdio;
-      case Policy::Ioca: return core::PolicyKind::Ioca;
-      case Policy::Lfoc: return core::PolicyKind::Lfoc;
-    }
-    return core::PolicyKind::Static;
-}
-
-/** Every bench policy, in bakeoff table order. */
-inline const std::vector<Policy> &
-allPolicies()
-{
-    static const std::vector<Policy> all = {
-        Policy::Baseline, Policy::CoreOnly, Policy::IoIso,
-        Policy::Iat,      Policy::Ioca,     Policy::Lfoc,
-    };
-    return all;
-}
-
-/** Keeps whichever policy object a run instantiated alive. */
-struct PolicyRuntime
-{
-    std::unique_ptr<core::IatDaemon> daemon;
-    std::unique_ptr<core::CoreOnlyPolicy> core_only;
-    std::unique_ptr<core::IoIsolationPolicy> io_iso;
-    /** The generic-interface policies (IOCA, LFOC). */
-    std::unique_ptr<core::Policy> generic;
-
-    /**
-     * Instantiate @p policy over @p registry and hook its tick into
-     * @p engine at @p params.interval_seconds. Baseline applies the
-     * static layout immediately and installs nothing.
-     *
-     * Chaos runs pass @p injector (nullptr otherwise): every policy
-     * tick first asks it whether this poll is dropped, modelling a
-     * daemon that oversleeps or gets preempted. @p hardening is the
-     * daemon's kill switch for A/B runs; it only affects the IAT
-     * policies. Remember to arm() the injector AFTER attach() so the
-     * t=0 setup tick runs before any fault hook installs.
-     */
-    void
-    attach(Policy policy, sim::Platform &platform,
-           core::TenantRegistry &registry, sim::Engine &engine,
-           const core::IatParams &params,
-           core::TenantModel model = core::TenantModel::Slicing,
-           obs::Telemetry *telemetry = nullptr,
-           fault::FaultInjector *injector = nullptr,
-           bool hardening = true)
-    {
-        switch (policy) {
-          case Policy::Baseline:
-            scenarios::applyStaticLayout(platform.pqos(), registry);
-            return;
-          case Policy::CoreOnly:
-            core_only = std::make_unique<core::CoreOnlyPolicy>(
-                platform.pqos(), registry, params);
-            engine.addPeriodic(
-                params.interval_seconds,
-                [this, injector](double now) {
-                    if (injector && injector->dropPoll(now))
-                        return;
-                    core_only->tick(now);
-                },
-                0.0);
-            return;
-          case Policy::IoIso:
-            io_iso = std::make_unique<core::IoIsolationPolicy>(
-                platform.pqos(), registry, params);
-            engine.addPeriodic(
-                params.interval_seconds,
-                [this, injector](double now) {
-                    if (injector && injector->dropPoll(now))
-                        return;
-                    io_iso->tick(now);
-                },
-                0.0);
-            return;
-          case Policy::Ioca:
-          case Policy::Lfoc:
-            generic = core::makePolicy(policyKind(policy),
-                                       platform.pqos(), registry,
-                                       params, model, telemetry,
-                                       hardening);
-            engine.addPeriodic(
-                params.interval_seconds,
-                [this, injector](double now) {
-                    if (injector && injector->dropPoll(now))
-                        return;
-                    generic->tick(now);
-                },
-                0.0);
-            return;
-          case Policy::Iat:
-          case Policy::IatNoDdioTuning:
-            daemon = std::make_unique<core::IatDaemon>(
-                platform.pqos(), registry, params, model);
-            if (policy == Policy::IatNoDdioTuning)
-                daemon->setDdioTuningEnabled(false);
-            daemon->setHardeningEnabled(hardening);
-            daemon->setTelemetry(telemetry);
-            engine.addPeriodic(
-                params.interval_seconds,
-                [this, injector](double now) {
-                    if (injector && injector->dropPoll(now))
-                        return;
-                    daemon->tick(now);
-                },
-                0.0);
-            return;
-        }
-    }
-};
 
 /**
  * Per-tenant fairness of one policy run against solo-run references

@@ -36,7 +36,7 @@ struct Row
 };
 
 Row
-runCase(bench::Policy policy, std::uint32_t frame_bytes,
+runCase(core::PolicyKind kind, std::uint32_t frame_bytes,
         double scale, std::uint64_t seed)
 {
     sim::PlatformConfig pc;
@@ -52,9 +52,10 @@ runCase(bench::Policy policy, std::uint32_t frame_bytes,
 
     core::IatParams params;
     params.interval_seconds = 5e-3;
-    bench::PolicyRuntime runtime;
-    runtime.attach(policy, platform, world.registry(), engine,
-                   params, core::TenantModel::Aggregation);
+    const auto policy =
+        core::makePolicy(kind, platform.pqos(), world.registry(),
+                         params, core::TenantModel::Aggregation);
+    fault::attachPolicy(engine, *policy, params.interval_seconds);
 
     engine.run(0.06 * scale); // settle (daemon ramps DDIO here)
     world.resetStats();
@@ -125,7 +126,7 @@ main(int argc, char **argv)
     for (std::uint32_t frame :
          {64u, 128u, 256u, 512u, 1024u, 1500u}) {
         for (const auto policy :
-             {bench::Policy::Baseline, bench::Policy::Iat}) {
+             {core::PolicyKind::Static, core::PolicyKind::Iat}) {
             const auto row = runCase(policy, frame, scale, seed);
             table.addRow({std::to_string(frame), toString(policy),
                           TablePrinter::num(row.ddio_hit_mps, 2),

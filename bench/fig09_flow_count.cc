@@ -37,7 +37,7 @@ main(int argc, char **argv)
                      "ovs_ipc", "ovs_ways", "tx_mpps"});
 
     for (const auto policy :
-         {bench::Policy::Baseline, bench::Policy::Iat}) {
+         {core::PolicyKind::Static, core::PolicyKind::Iat}) {
         const auto rows = bench::fig09RunRamp(policy, scale, seed);
         for (const auto &row : rows) {
             table.addRow({std::to_string(row.flows),

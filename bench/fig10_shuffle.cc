@@ -45,22 +45,22 @@ main(int argc, char **argv)
                      "lat_ns_after_5s", "tput_MBps_after_15s",
                      "lat_ns_after_15s"});
 
-    const bench::Policy policies[] = {
-        bench::Policy::Baseline, bench::Policy::CoreOnly,
-        bench::Policy::IoIso, bench::Policy::IatNoDdioTuning};
+    const core::PolicyKind policies[] = {
+        core::PolicyKind::Static, core::PolicyKind::CoreOnly,
+        core::PolicyKind::IoIso, core::PolicyKind::IatNoDdio};
 
     for (std::uint32_t frame : {64u, 512u, 1500u}) {
         for (const auto policy : policies) {
             const auto r =
                 bench::fig10RunCase(policy, frame, scale, seed);
             table.addRow(
-                {std::to_string(frame), figureLabel(policy),
+                {std::to_string(frame), bench::figureLabel(policy),
                  TablePrinter::num(r.after_t1.tput_mbps, 1),
                  TablePrinter::num(r.after_t1.lat_ns, 1),
                  TablePrinter::num(r.after_t2.tput_mbps, 1),
                  TablePrinter::num(r.after_t2.lat_ns, 1)});
             std::printf("  frame=%uB %s done\n", frame,
-                        figureLabel(policy));
+                        bench::figureLabel(policy));
             std::fflush(stdout);
         }
     }

@@ -26,7 +26,7 @@ using namespace iat;
 
 /** Progress of the PC app over a settled window. */
 double
-measureProgress(bench::Policy policy, int placement,
+measureProgress(core::PolicyKind kind, int placement,
                 scenarios::CorunConfig cfg, bool solo, double scale)
 {
     sim::PlatformConfig pc;
@@ -36,30 +36,26 @@ measureProgress(bench::Policy policy, int placement,
     scenarios::CorunWorld world(platform, cfg);
     world.attach(engine);
 
+    std::unique_ptr<core::Policy> policy;
     if (solo) {
         world.setNetworkingActive(false);
         world.setBackgroundActive(false);
         world.applyDeterministicPlacement(0);
-    } else if (policy == bench::Policy::Baseline) {
+    } else if (kind == core::PolicyKind::Static) {
         world.applyDeterministicPlacement(placement);
     } else {
         core::IatParams params;
         params.interval_seconds = 5e-3;
-        bench::PolicyRuntime runtime;
-        runtime.attach(policy, platform, world.registry(), engine,
-                       params,
-                       cfg.net_app ==
-                               scenarios::CorunConfig::NetApp::Redis
-                           ? core::TenantModel::Aggregation
-                           : core::TenantModel::Slicing);
-        if (runtime.daemon != nullptr) {
+        policy = core::makePolicy(
+            kind, platform.pqos(), world.registry(), params,
+            cfg.net_app == scenarios::CorunConfig::NetApp::Redis
+                ? core::TenantModel::Aggregation
+                : core::TenantModel::Slicing);
+        fault::attachPolicy(engine, *policy, params.interval_seconds);
+        if (auto *daemon = policy->daemon()) {
             // SS VI-C: tenant way tuning disabled for the app study.
-            runtime.daemon->setTenantTuningEnabled(false);
+            daemon->setTenantTuningEnabled(false);
         }
-        engine.run(0.04 * scale);
-        world.resetWindow();
-        engine.run(0.08 * scale);
-        return static_cast<double>(world.pcAppProgress());
     }
     engine.run(0.04 * scale);
     world.resetWindow();
@@ -101,7 +97,7 @@ main(int argc, char **argv)
         solo_cfg.pc_app = app;
         solo_cfg.seed = seed;
         const double solo = measureProgress(
-            bench::Policy::Baseline, 0, solo_cfg, true, scale);
+            core::PolicyKind::Static, 0, solo_cfg, true, scale);
 
         for (const auto net : nets) {
             scenarios::CorunConfig cfg;
@@ -112,14 +108,14 @@ main(int argc, char **argv)
             double base_min = 1e30, base_max = 0.0;
             for (int placement = 0; placement < 3; ++placement) {
                 const double p = measureProgress(
-                    bench::Policy::Baseline, placement, cfg, false,
+                    core::PolicyKind::Static, placement, cfg, false,
                     scale);
                 const double norm = solo / std::max(p, 1.0);
                 base_min = std::min(base_min, norm);
                 base_max = std::max(base_max, norm);
             }
             const double iat_p = measureProgress(
-                bench::Policy::Iat, 0, cfg, false, scale);
+                core::PolicyKind::Iat, 0, cfg, false, scale);
             const double iat_norm = solo / std::max(iat_p, 1.0);
 
             const char *net_name =

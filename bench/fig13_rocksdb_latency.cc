@@ -21,7 +21,7 @@ using namespace iat;
 
 /** Mean latency per op kind over a settled window. */
 std::array<double, 5>
-measureKindLatencies(bench::Policy policy, int placement, char mix,
+measureKindLatencies(core::PolicyKind kind, int placement, char mix,
                      scenarios::CorunConfig::NetApp net, bool solo,
                      double scale, std::uint64_t seed)
 {
@@ -38,23 +38,24 @@ measureKindLatencies(bench::Policy policy, int placement, char mix,
     scenarios::CorunWorld world(platform, cfg);
     world.attach(engine);
 
-    bench::PolicyRuntime runtime;
+    std::unique_ptr<core::Policy> policy;
     if (solo) {
         world.setNetworkingActive(false);
         world.setBackgroundActive(false);
         world.applyDeterministicPlacement(0);
-    } else if (policy == bench::Policy::Baseline) {
+    } else if (kind == core::PolicyKind::Static) {
         world.applyDeterministicPlacement(placement);
     } else {
         core::IatParams params;
         params.interval_seconds = 5e-3;
-        runtime.attach(
-            policy, platform, world.registry(), engine, params,
+        policy = core::makePolicy(
+            kind, platform.pqos(), world.registry(), params,
             net == scenarios::CorunConfig::NetApp::Redis
                 ? core::TenantModel::Aggregation
                 : core::TenantModel::Slicing);
-        if (runtime.daemon != nullptr)
-            runtime.daemon->setTenantTuningEnabled(false);
+        fault::attachPolicy(engine, *policy, params.interval_seconds);
+        if (auto *daemon = policy->daemon())
+            daemon->setTenantTuningEnabled(false);
     }
 
     engine.run(0.04 * scale);
@@ -114,19 +115,19 @@ main(int argc, char **argv)
     for (char mix = 'A'; mix <= 'F'; ++mix) {
         for (const auto net : nets) {
             const auto solo = measureKindLatencies(
-                bench::Policy::Baseline, 0, mix, net, true, scale,
+                core::PolicyKind::Static, 0, mix, net, true, scale,
                 seed);
             double base_min = 1e30, base_max = 0.0;
             for (int placement = 0; placement < 3; ++placement) {
                 const auto corun = measureKindLatencies(
-                    bench::Policy::Baseline, placement, mix, net,
+                    core::PolicyKind::Static, placement, mix, net,
                     false, scale, seed);
                 const double norm = weightedNorm(corun, solo, mix);
                 base_min = std::min(base_min, norm);
                 base_max = std::max(base_max, norm);
             }
             const auto iat = measureKindLatencies(
-                bench::Policy::Iat, 0, mix, net, false, scale,
+                core::PolicyKind::Iat, 0, mix, net, false, scale,
                 seed);
             const char *net_name =
                 net == scenarios::CorunConfig::NetApp::Redis

@@ -28,7 +28,7 @@ struct RedisSample
 };
 
 RedisSample
-runCase(bench::Policy policy, int placement, char mix, bool solo,
+runCase(core::PolicyKind kind, int placement, char mix, bool solo,
         double scale, std::uint64_t seed)
 {
     sim::PlatformConfig pc;
@@ -44,20 +44,22 @@ runCase(bench::Policy policy, int placement, char mix, bool solo,
     scenarios::CorunWorld world(platform, cfg);
     world.attach(engine);
 
-    bench::PolicyRuntime runtime;
+    std::unique_ptr<core::Policy> policy;
     if (solo) {
         world.setBackgroundActive(false);
         // PC app paused too: Redis runs alone with the switch.
         world.applyDeterministicPlacement(0);
-    } else if (policy == bench::Policy::Baseline) {
+    } else if (kind == core::PolicyKind::Static) {
         world.applyDeterministicPlacement(placement);
     } else {
         core::IatParams params;
         params.interval_seconds = 5e-3;
-        runtime.attach(policy, platform, world.registry(), engine,
-                       params, core::TenantModel::Aggregation);
-        if (runtime.daemon != nullptr)
-            runtime.daemon->setTenantTuningEnabled(false);
+        policy =
+            core::makePolicy(kind, platform.pqos(), world.registry(),
+                             params, core::TenantModel::Aggregation);
+        fault::attachPolicy(engine, *policy, params.interval_seconds);
+        if (auto *daemon = policy->daemon())
+            daemon->setTenantTuningEnabled(false);
     }
 
     engine.run(0.04 * scale);
@@ -91,14 +93,14 @@ main(int argc, char **argv)
                      "norm_avg_latency", "norm_p99_latency"});
 
     for (char mix = 'A'; mix <= 'F'; ++mix) {
-        const auto solo = runCase(bench::Policy::Baseline, 0, mix,
+        const auto solo = runCase(core::PolicyKind::Static, 0, mix,
                                   true, scale, seed);
         // Baseline band over the three canonical placements.
         double tput_min = 1e30, tput_max = 0.0;
         double avg_min = 1e30, avg_max = 0.0;
         double p99_min = 1e30, p99_max = 0.0;
         for (int placement = 0; placement < 3; ++placement) {
-            const auto b = runCase(bench::Policy::Baseline,
+            const auto b = runCase(core::PolicyKind::Static,
                                    placement, mix, false, scale,
                                    seed);
             const double tput = b.ops_per_s / solo.ops_per_s;
@@ -126,7 +128,7 @@ main(int argc, char **argv)
         table.addRow({std::string(1, mix), "baseline", tput_band,
                       avg_band, p99_band});
 
-        const auto iat = runCase(bench::Policy::Iat, 0, mix, false,
+        const auto iat = runCase(core::PolicyKind::Iat, 0, mix, false,
                                  scale, seed);
         table.addRow(
             {std::string(1, mix), "IAT",

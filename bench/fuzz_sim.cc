@@ -270,9 +270,8 @@ main(int argc, char **argv)
     const std::string policy_name = args.getString("policy", "");
     if (!policy_name.empty() &&
         !core::parsePolicyKind(policy_name, cfg.policy)) {
-        fatal("--policy expects one of the registered policy kinds, "
-              "got '%s'",
-              policy_name.c_str());
+        fatal("--policy expects one of %s, got '%s'",
+              core::policyKindLabels().c_str(), policy_name.c_str());
     }
 
     // --exp=<spec>: a fuzz repro spec replays its exact trial (the

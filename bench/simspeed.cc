@@ -111,7 +111,7 @@ struct WorldHandle
     std::unique_ptr<sim::Engine> engine;
     std::unique_ptr<scenarios::AggTestPmdWorld> world;
     core::IatParams params;
-    bench::PolicyRuntime runtime;
+    std::unique_ptr<core::Policy> policy;
 };
 
 std::unique_ptr<WorldHandle>
@@ -127,10 +127,13 @@ buildWorld(const scenarios::AggTestPmdConfig &cfg,
     h->world = std::make_unique<scenarios::AggTestPmdWorld>(
         *h->platform, cfg);
     h->world->attach(*h->engine);
-    h->runtime.attach(policy_name == "iat" ? bench::Policy::Iat
-                                           : bench::Policy::Baseline,
-                      *h->platform, h->world->registry(), *h->engine,
-                      h->params, core::TenantModel::Aggregation);
+    h->policy = core::makePolicy(
+        policy_name == "iat" ? core::PolicyKind::Iat
+                             : core::PolicyKind::Static,
+        h->platform->pqos(), h->world->registry(), h->params,
+        core::TenantModel::Aggregation);
+    fault::attachPolicy(*h->engine, *h->policy,
+                        h->params.interval_seconds);
     return h;
 }
 

@@ -60,7 +60,7 @@ fig09FlowPlateaus()
 }
 
 std::vector<Fig09Plateau>
-fig09RunRamp(Policy policy, double scale, std::uint64_t seed)
+fig09RunRamp(core::PolicyKind kind, double scale, std::uint64_t seed)
 {
     sim::PlatformConfig pc;
     pc.num_cores = 8;
@@ -76,9 +76,10 @@ fig09RunRamp(Policy policy, double scale, std::uint64_t seed)
 
     core::IatParams params;
     params.interval_seconds = 5e-3;
-    PolicyRuntime runtime;
-    runtime.attach(policy, platform, world.registry(), engine,
-                   params, core::TenantModel::Aggregation);
+    const auto policy =
+        core::makePolicy(kind, platform.pqos(), world.registry(),
+                         params, core::TenantModel::Aggregation);
+    fault::attachPolicy(engine, *policy, params.interval_seconds);
 
     std::vector<Fig09Plateau> rows;
     for (const auto flows : fig09FlowPlateaus()) {
@@ -107,8 +108,8 @@ fig09RunRamp(Policy policy, double scale, std::uint64_t seed)
                       static_cast<double>(cyc1 - cyc0);
         row.tx_mpps = world.txPackets() / window / 1e6;
         row.ovs_ways =
-            runtime.daemon != nullptr
-                ? runtime.daemon->allocator().tenantWays(0)
+            policy->daemon() != nullptr
+                ? policy->daemon()->allocator().tenantWays(0)
                 : platform.pqos().l3caGet(1).count();
         rows.push_back(row);
     }
@@ -116,8 +117,8 @@ fig09RunRamp(Policy policy, double scale, std::uint64_t seed)
 }
 
 Fig10Result
-fig10RunCase(Policy policy, std::uint32_t frame_bytes, double scale,
-             std::uint64_t seed)
+fig10RunCase(core::PolicyKind kind, std::uint32_t frame_bytes,
+             double scale, std::uint64_t seed)
 {
     sim::PlatformConfig pc;
     pc.num_cores = 8;
@@ -132,9 +133,10 @@ fig10RunCase(Policy policy, std::uint32_t frame_bytes, double scale,
 
     core::IatParams params;
     params.interval_seconds = 5e-3;
-    PolicyRuntime runtime;
-    runtime.attach(policy, platform, world.registry(), engine,
-                   params, core::TenantModel::Slicing);
+    const auto policy =
+        core::makePolicy(kind, platform.pqos(), world.registry(),
+                         params, core::TenantModel::Slicing);
+    fault::attachPolicy(engine, *policy, params.interval_seconds);
 
     const double t1 = 0.06 * scale;
     const double t2 = 0.20 * scale;
@@ -171,7 +173,7 @@ fig10RunCase(Policy policy, std::uint32_t frame_bytes, double scale,
 }
 
 ChaosResult
-chaosRunCase(Policy policy, const fault::FaultPlan &plan,
+chaosRunCase(core::PolicyKind kind, const fault::FaultPlan &plan,
              bool hardening, double scale, std::uint64_t seed)
 {
     sim::PlatformConfig pc;
@@ -196,10 +198,12 @@ chaosRunCase(Policy policy, const fault::FaultPlan &plan,
     if (effective.any())
         injector = std::make_unique<fault::FaultInjector>(effective);
 
-    PolicyRuntime runtime;
-    runtime.attach(policy, platform, world.registry(), engine, params,
-                   core::TenantModel::Aggregation, nullptr,
-                   injector.get(), hardening);
+    const auto policy = core::makePolicy(
+        kind, platform.pqos(), world.registry(), params,
+        core::TenantModel::Aggregation, nullptr, hardening);
+    fault::attachPolicy(engine, *policy, params.interval_seconds,
+                        injector.get());
+    core::IatDaemon *daemon = policy->daemon();
     if (injector) {
         for (unsigned i = 0; i < world.nicCount(); ++i)
             injector->addNic(world.nic(i));
@@ -211,9 +215,9 @@ chaosRunCase(Policy policy, const fault::FaultPlan &plan,
     // mid-run divergence repaired later is still a misallocation the
     // unhardened daemon never noticed.
     const auto sampleDrift = [&]() -> unsigned {
-        if (!runtime.daemon)
+        if (!daemon)
             return 0;
-        const auto &d = *runtime.daemon;
+        const auto &d = *daemon;
         unsigned drift = static_cast<unsigned>(
             std::abs(static_cast<int>(d.ddioWays()) -
                      static_cast<int>(
@@ -257,8 +261,8 @@ chaosRunCase(Policy policy, const fault::FaultPlan &plan,
                 .l3caGet(static_cast<cache::ClosId>(t + 1))
                 .count());
     }
-    if (runtime.daemon) {
-        const auto &d = *runtime.daemon;
+    if (daemon) {
+        const auto &d = *daemon;
         r.intended_ddio_ways = d.ddioWays();
         r.degraded_enters = d.degradedEnters();
         r.degraded_exits = d.degradedExits();
@@ -266,8 +270,7 @@ chaosRunCase(Policy policy, const fault::FaultPlan &plan,
         r.bad_samples = d.badSamples();
         r.write_retries = d.writeRetries();
         r.write_failures = d.writeFailures();
-        r.outliers_clamped =
-            runtime.daemon->monitor().outliersClamped();
+        r.outliers_clamped = daemon->monitor().outliersClamped();
     }
     if (injector) {
         r.read_faults = injector->readFaults();
@@ -282,14 +285,14 @@ chaosRunCase(Policy policy, const fault::FaultPlan &plan,
 
 namespace {
 
-Policy
+core::PolicyKind
 policyParam(const exp::TrialContext &ctx)
 {
     const std::string name = ctx.requireString("policy");
-    Policy policy;
-    if (!parsePolicy(name, policy))
+    core::PolicyKind kind;
+    if (!core::parsePolicyKind(name, kind))
         throw std::runtime_error("unknown policy '" + name + "'");
-    return policy;
+    return kind;
 }
 
 exp::TrialResult
@@ -396,11 +399,11 @@ chaosTrial(const exp::TrialContext &ctx)
 {
     const auto plan = fault::FaultPlan::fromPairs(ctx.params);
     const bool hardening = ctx.getBool("hardening", true);
-    Policy policy = Policy::Iat;
-    if (ctx.find("policy") != nullptr)
-        policy = policyParam(ctx);
+    const auto kind = ctx.find("policy") != nullptr
+                          ? policyParam(ctx)
+                          : core::PolicyKind::Iat;
     const auto r =
-        chaosRunCase(policy, plan, hardening, ctx.scale, ctx.seed);
+        chaosRunCase(kind, plan, hardening, ctx.scale, ctx.seed);
 
     exp::TrialResult result;
     result.add("tx_mpps", r.tx_mpps);

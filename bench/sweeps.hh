@@ -52,7 +52,8 @@ struct Fig09Plateau
 const std::vector<std::uint64_t> &fig09FlowPlateaus();
 
 /** Run one policy's continuous ramp; one row per plateau. */
-std::vector<Fig09Plateau> fig09RunRamp(Policy policy, double scale,
+std::vector<Fig09Plateau> fig09RunRamp(core::PolicyKind kind,
+                                       double scale,
                                        std::uint64_t seed);
 /// @}
 
@@ -79,13 +80,14 @@ struct Fig10Result
 };
 
 /**
- * Run one case under @p policy as given -- pass
- * Policy::IatNoDdioTuning explicitly for the paper's footnote-3
+ * Run one case under @p kind as given -- pass
+ * core::PolicyKind::IatNoDdio explicitly for the paper's footnote-3
  * ablation (the fig10 binary does; the spec's policy axis lists
  * iat-noddio).
  */
-Fig10Result fig10RunCase(Policy policy, std::uint32_t frame_bytes,
-                         double scale, std::uint64_t seed);
+Fig10Result fig10RunCase(core::PolicyKind kind,
+                         std::uint32_t frame_bytes, double scale,
+                         std::uint64_t seed);
 /// @}
 
 /// @name Chaos: the Fig 9 agg_testpmd ramp under a fault plan
@@ -141,14 +143,14 @@ struct ChaosResult
 
 /**
  * Run the Fig 9 flow-count ramp (the full agg_testpmd campaign)
- * under @p policy with @p plan injected. An empty plan (any() false)
+ * under @p kind with @p plan injected. An empty plan (any() false)
  * runs fault-free with no injector built, so the fault-free row is
  * bit-identical to a plain fig09 ramp. A plan whose seed is 0 gets
  * @p seed, keeping chaos trials reproducible per-trial.
  */
-ChaosResult chaosRunCase(Policy policy, const fault::FaultPlan &plan,
-                         bool hardening, double scale,
-                         std::uint64_t seed);
+ChaosResult chaosRunCase(core::PolicyKind kind,
+                         const fault::FaultPlan &plan, bool hardening,
+                         double scale, std::uint64_t seed);
 /// @}
 
 /// @name Bakeoff: every policy head-to-head, with a fairness axis
@@ -195,7 +197,7 @@ const std::vector<std::string> &bakeoffScenarios();
  * fault-free with no injector built; a plan whose seed is 0 gets
  * @p seed.
  */
-BakeoffResult bakeoffRunCase(Policy policy,
+BakeoffResult bakeoffRunCase(core::PolicyKind kind,
                              const std::string &scenario,
                              const fault::FaultPlan &plan,
                              double scale, std::uint64_t seed);

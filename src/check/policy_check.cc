@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "check/invariants.hh"
+#include "core/daemon.hh"
 #include "sim/platform.hh"
 #include "util/rng.hh"
 

@@ -8,6 +8,7 @@
 #include <algorithm>
 #include <numeric>
 
+#include "core/shuffle.hh"
 #include "util/logging.hh"
 
 namespace iat::core {
@@ -21,6 +22,57 @@ tenantClos(std::size_t t)
 }
 
 } // namespace
+
+// ---------------------------------------------------------------------
+// Static layout and StaticPolicy
+
+std::vector<cache::WayMask>
+applyStaticLayout(rdt::PqosSystem &pqos, const TenantRegistry &registry)
+{
+    const auto order = computeShuffleOrder(registry.tenants(), {}, {});
+    return applyStaticLayout(pqos, registry, order);
+}
+
+std::vector<cache::WayMask>
+applyStaticLayout(rdt::PqosSystem &pqos, const TenantRegistry &registry,
+                  const std::vector<std::size_t> &order)
+{
+    WayAllocator alloc(pqos.l3NumWays(), pqos.ddioGetWays().count());
+    std::vector<unsigned> ways;
+    for (const auto &spec : registry.tenants())
+        ways.push_back(spec.initial_ways);
+    alloc.setTenants(ways);
+    alloc.setOrder(order);
+
+    std::vector<cache::WayMask> masks;
+    for (std::size_t t = 0; t < registry.size(); ++t) {
+        const auto mask = alloc.tenantMask(t);
+        pqos.l3caSet(tenantClos(t), mask);
+        for (const auto core : registry[t].cores)
+            pqos.allocAssocSet(core, tenantClos(t));
+        // One RMID per tenant so experiments can monitor the
+        // baseline with the same groups IAT would use.
+        pqos.monStart(registry[t].cores,
+                      static_cast<cache::RmidId>(t + 1));
+        masks.push_back(mask);
+    }
+    return masks;
+}
+
+StaticPolicy::StaticPolicy(rdt::PqosSystem &pqos,
+                           TenantRegistry &registry)
+    : pqos_(pqos), registry_(registry)
+{
+    registry_.consumeDirty();
+    applyStaticLayout(pqos_, registry_);
+}
+
+void
+StaticPolicy::tick(double /*now*/)
+{
+    if (registry_.consumeDirty())
+        applyStaticLayout(pqos_, registry_);
+}
 
 // ---------------------------------------------------------------------
 // CoreOnlyPolicy

@@ -2,9 +2,9 @@
  * @file
  * The comparison policies of the evaluation (SS VI-B).
  *
- *  - StaticPolicy: the paper's "baseline" -- whatever CAT masks the
- *    experiment set up initially, hardware-default DDIO, no dynamics.
- *    (A do-nothing type, present so benches can name it.)
+ *  - StaticPolicy: the paper's "baseline" -- the bottom-packed
+ *    initial CAT layout (applyStaticLayout()), hardware-default DDIO,
+ *    no dynamics.
  *  - CoreOnlyPolicy: "we only adjust the LLC allocation without I/O
  *    awareness" -- a dCAT-style dynamic core allocator that happily
  *    grows tenants into ways DDIO is using, because it cannot see
@@ -26,26 +26,58 @@
 #include "core/allocator.hh"
 #include "core/monitor.hh"
 #include "core/params.hh"
+#include "core/policy.hh"
 #include "core/tenant.hh"
 #include "rdt/pqos.hh"
 
 namespace iat::core {
 
-/** The no-op baseline. */
-class StaticPolicy
+/**
+ * Program the paper's "basic static CAT" baseline: tenants get their
+ * initial way counts, bottom-packed PC/stack-first (the same layout
+ * the IAT daemon starts from), cores associated with per-tenant
+ * CLOS, monitoring RMIDs assigned. DDIO stays at the hardware value.
+ *
+ * Returns the per-tenant masks that were programmed.
+ */
+std::vector<cache::WayMask> applyStaticLayout(
+    rdt::PqosSystem &pqos, const TenantRegistry &registry);
+
+/**
+ * Program an explicit per-tenant order (bottom -> top), used by
+ * benches that randomize baseline placement (Figs 12-14 shuffle the
+ * non-networking tenants' slots at start).
+ */
+std::vector<cache::WayMask> applyStaticLayout(
+    rdt::PqosSystem &pqos, const TenantRegistry &registry,
+    const std::vector<std::size_t> &order);
+
+/**
+ * The static baseline: programs applyStaticLayout() at construction
+ * and, when ticked, re-applies it after registry churn.
+ */
+class StaticPolicy : public Policy
 {
   public:
-    void tick(double) {}
+    StaticPolicy(rdt::PqosSystem &pqos, TenantRegistry &registry);
+
+    void tick(double now) override;
+    PolicyKind kind() const override { return PolicyKind::Static; }
+
+  private:
+    rdt::PqosSystem &pqos_;
+    TenantRegistry &registry_;
 };
 
 /** I/O-unaware dynamic way allocation; see file comment. */
-class CoreOnlyPolicy
+class CoreOnlyPolicy : public Policy
 {
   public:
     CoreOnlyPolicy(rdt::PqosSystem &pqos, TenantRegistry &registry,
                    const IatParams &params);
 
-    void tick(double now);
+    void tick(double now) override;
+    PolicyKind kind() const override { return PolicyKind::CoreOnly; }
 
     const WayAllocator &allocator() const { return alloc_; }
     Monitor &monitor() { return monitor_; }
@@ -64,7 +96,7 @@ class CoreOnlyPolicy
 };
 
 /** Core-only with DDIO's ways excluded from every core mask. */
-class IoIsolationPolicy
+class IoIsolationPolicy : public Policy
 {
   public:
     /**
@@ -75,7 +107,8 @@ class IoIsolationPolicy
                       const IatParams &params,
                       std::vector<std::size_t> order = {});
 
-    void tick(double now);
+    void tick(double now) override;
+    PolicyKind kind() const override { return PolicyKind::IoIso; }
 
     /** The mask programmed for tenant @p t (may overlap others'). */
     cache::WayMask tenantMask(std::size_t t) const;

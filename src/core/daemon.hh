@@ -30,6 +30,7 @@
 #include "core/fsm.hh"
 #include "core/monitor.hh"
 #include "core/params.hh"
+#include "core/policy.hh"
 #include "core/shuffle.hh"
 #include "core/tenant.hh"
 #include "rdt/pqos.hh"
@@ -43,9 +44,6 @@ class Tracer;
 
 namespace iat::core {
 
-/** Which tenant-device interaction model is deployed (SS II-C). */
-enum class TenantModel { Aggregation, Slicing };
-
 /** Wall-clock and register cost of one daemon iteration (Fig 15). */
 struct DaemonStepTiming
 {
@@ -58,16 +56,25 @@ struct DaemonStepTiming
 };
 
 /** The user-space daemon; see file comment. */
-class IatDaemon
+class IatDaemon : public Policy
 {
   public:
     IatDaemon(rdt::PqosSystem &pqos, TenantRegistry &registry,
               const IatParams &params,
               TenantModel model = TenantModel::Slicing);
-    ~IatDaemon();
+    ~IatDaemon() override;
 
     /** Run one iteration at simulated time @p now. */
-    void tick(double now);
+    void tick(double now) override;
+
+    /** IatNoDdio while the footnote-3 ablation is on, else Iat. */
+    PolicyKind
+    kind() const override
+    {
+        return ddio_tuning_ ? PolicyKind::Iat : PolicyKind::IatNoDdio;
+    }
+    const IatDaemon *daemon() const override { return this; }
+    IatDaemon *daemon() override { return this; }
 
     /**
      * Attach an observability session (nullptr detaches). The daemon

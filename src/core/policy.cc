@@ -1,14 +1,14 @@
 /**
  * @file
- * Policy registry: labels, contracts, adapters and the factory.
+ * Policy registry: labels, contracts and the factory.
  */
 
 #include "core/policy.hh"
 
 #include "core/baselines.hh"
+#include "core/daemon.hh"
 #include "core/ioca.hh"
 #include "core/lfoc.hh"
-#include "core/shuffle.hh"
 
 namespace iat::core {
 
@@ -59,6 +59,18 @@ allPolicyKinds()
         PolicyKind::Lfoc,
     };
     return kinds;
+}
+
+std::string
+policyKindLabels()
+{
+    std::string labels;
+    for (const auto kind : allPolicyKinds()) {
+        if (!labels.empty())
+            labels += '|';
+        labels += toString(kind);
+    }
+    return labels;
 }
 
 PolicyContract
@@ -113,119 +125,6 @@ policyContract(PolicyKind kind)
     return c;
 }
 
-namespace {
-
-/**
- * The static baseline behind the generic interface: program the
- * bottom-packed initial layout immediately (like the benches'
- * Baseline path) and re-apply it when the registry churns. Uses the
- * same shuffle-order start layout the IAT daemon boots from.
- */
-class StaticAdapter final : public Policy
-{
-  public:
-    StaticAdapter(rdt::PqosSystem &pqos, TenantRegistry &registry)
-        : pqos_(pqos), registry_(registry)
-    {
-        registry_.consumeDirty();
-        apply();
-    }
-
-    void
-    tick(double) override
-    {
-        if (registry_.consumeDirty())
-            apply();
-    }
-
-    PolicyKind kind() const override { return PolicyKind::Static; }
-
-  private:
-    void
-    apply()
-    {
-        const auto &specs = registry_.tenants();
-        const auto order = computeShuffleOrder(specs, {}, {});
-        WayAllocator alloc(pqos_.l3NumWays(),
-                           pqos_.ddioGetWays().count());
-        std::vector<unsigned> ways;
-        for (const auto &spec : specs)
-            ways.push_back(spec.initial_ways);
-        alloc.setTenants(ways);
-        alloc.setOrder(order);
-        for (std::size_t t = 0; t < specs.size(); ++t) {
-            const auto clos = static_cast<cache::ClosId>(t + 1);
-            pqos_.l3caSet(clos, alloc.tenantMask(t));
-            for (const auto core : specs[t].cores)
-                pqos_.allocAssocSet(core, clos);
-            pqos_.monStart(specs[t].cores,
-                           static_cast<cache::RmidId>(t + 1));
-        }
-    }
-
-    rdt::PqosSystem &pqos_;
-    TenantRegistry &registry_;
-};
-
-class CoreOnlyAdapter final : public Policy
-{
-  public:
-    CoreOnlyAdapter(rdt::PqosSystem &pqos, TenantRegistry &registry,
-                    const IatParams &params)
-        : impl_(pqos, registry, params)
-    {
-    }
-
-    void tick(double now) override { impl_.tick(now); }
-    PolicyKind kind() const override { return PolicyKind::CoreOnly; }
-
-  private:
-    CoreOnlyPolicy impl_;
-};
-
-class IoIsoAdapter final : public Policy
-{
-  public:
-    IoIsoAdapter(rdt::PqosSystem &pqos, TenantRegistry &registry,
-                 const IatParams &params)
-        : impl_(pqos, registry, params)
-    {
-    }
-
-    void tick(double now) override { impl_.tick(now); }
-    PolicyKind kind() const override { return PolicyKind::IoIso; }
-
-  private:
-    IoIsolationPolicy impl_;
-};
-
-class IatAdapter final : public Policy
-{
-  public:
-    IatAdapter(PolicyKind kind, rdt::PqosSystem &pqos,
-               TenantRegistry &registry, const IatParams &params,
-               TenantModel model, obs::Telemetry *telemetry,
-               bool hardening)
-        : kind_(kind), impl_(pqos, registry, params, model)
-    {
-        if (kind == PolicyKind::IatNoDdio)
-            impl_.setDdioTuningEnabled(false);
-        impl_.setHardeningEnabled(hardening);
-        impl_.setTelemetry(telemetry);
-    }
-
-    void tick(double now) override { impl_.tick(now); }
-    PolicyKind kind() const override { return kind_; }
-    const IatDaemon *daemon() const override { return &impl_; }
-    IatDaemon *daemon() override { return &impl_; }
-
-  private:
-    PolicyKind kind_;
-    IatDaemon impl_;
-};
-
-} // namespace
-
 std::unique_ptr<Policy>
 makePolicy(PolicyKind kind, rdt::PqosSystem &pqos,
            TenantRegistry &registry, const IatParams &params,
@@ -234,17 +133,22 @@ makePolicy(PolicyKind kind, rdt::PqosSystem &pqos,
 {
     switch (kind) {
       case PolicyKind::Static:
-        return std::make_unique<StaticAdapter>(pqos, registry);
+        return std::make_unique<StaticPolicy>(pqos, registry);
       case PolicyKind::CoreOnly:
-        return std::make_unique<CoreOnlyAdapter>(pqos, registry,
-                                                 params);
+        return std::make_unique<CoreOnlyPolicy>(pqos, registry,
+                                                params);
       case PolicyKind::IoIso:
-        return std::make_unique<IoIsoAdapter>(pqos, registry, params);
+        return std::make_unique<IoIsolationPolicy>(pqos, registry,
+                                                   params);
       case PolicyKind::Iat:
-      case PolicyKind::IatNoDdio:
-        return std::make_unique<IatAdapter>(kind, pqos, registry,
-                                            params, model, telemetry,
-                                            hardening);
+      case PolicyKind::IatNoDdio: {
+        auto daemon =
+            std::make_unique<IatDaemon>(pqos, registry, params, model);
+        daemon->setDdioTuningEnabled(kind == PolicyKind::Iat);
+        daemon->setHardeningEnabled(hardening);
+        daemon->setTelemetry(telemetry);
+        return daemon;
+      }
       case PolicyKind::Ioca:
         return std::make_unique<IocaPolicy>(pqos, registry, params);
       case PolicyKind::Lfoc:

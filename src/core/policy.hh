@@ -23,7 +23,6 @@
 #include <string>
 #include <vector>
 
-#include "core/daemon.hh"
 #include "core/params.hh"
 #include "core/tenant.hh"
 #include "rdt/pqos.hh"
@@ -33,6 +32,8 @@ class Telemetry;
 } // namespace iat::obs
 
 namespace iat::core {
+
+class IatDaemon;
 
 /** Every registered policy, in bakeoff table order. */
 enum class PolicyKind
@@ -54,6 +55,10 @@ bool parsePolicyKind(const std::string &name, PolicyKind &out);
 
 /** All kinds, in declaration order (the property suite iterates). */
 const std::vector<PolicyKind> &allPolicyKinds();
+
+/** Every machine label, '|'-joined in declaration order (for
+ *  usage text and unknown-policy errors). */
+std::string policyKindLabels();
 
 /**
  * The structural invariants a policy guarantees over the *hardware*
@@ -105,19 +110,20 @@ class Policy
     const char *name() const { return toString(kind()); }
     PolicyContract contract() const { return policyContract(kind()); }
 
-    /** The wrapped IAT daemon, when this policy is one (for the
+    /** This policy as the IAT daemon, when it is one (for the
      *  hardening counters and allocator-intent checks). */
     virtual const IatDaemon *daemon() const { return nullptr; }
     virtual IatDaemon *daemon() { return nullptr; }
 };
 
 /**
- * Instantiate @p kind over @p registry. The returned policy owns its
- * monitor/allocator state; hook its tick() into an engine periodic at
- * @p params.interval_seconds. @p telemetry and @p hardening only
- * affect the IAT kinds (the baselines and related-work controllers
- * predate both). Static programs its layout immediately, like the
- * benches' Baseline path, and re-applies it on registry churn.
+ * Instantiate @p kind over @p registry; every `policy=` entry point
+ * builds through here. The returned policy owns its monitor/allocator
+ * state; hook its tick() into an engine with fault::attachPolicy().
+ * @p telemetry and @p hardening only affect the IAT kinds (the
+ * baselines and related-work controllers predate both). Static
+ * programs its layout immediately and re-applies it on registry
+ * churn when ticked.
  */
 std::unique_ptr<Policy> makePolicy(PolicyKind kind,
                                    rdt::PqosSystem &pqos,

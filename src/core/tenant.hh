@@ -33,6 +33,9 @@ enum class TenantPriority
 
 const char *toString(TenantPriority priority);
 
+/** Which tenant-device interaction model is deployed (SS II-C). */
+enum class TenantModel { Aggregation, Slicing };
+
 /** Static description of one tenant. */
 struct TenantSpec
 {

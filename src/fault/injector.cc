@@ -7,6 +7,7 @@
 
 #include <cmath>
 
+#include "core/policy.hh"
 #include "obs/telemetry.hh"
 #include "util/logging.hh"
 
@@ -216,6 +217,23 @@ FaultInjector::onWrite(cache::CoreId /*core*/, std::uint32_t /*addr*/,
     if (m_write_rejects_)
         m_write_rejects_->inc();
     return false;
+}
+
+void
+attachPolicy(sim::Engine &engine, core::Policy &policy, double interval,
+             FaultInjector *injector)
+{
+    if (policy.kind() == core::PolicyKind::Static)
+        return;
+    core::Policy *p = &policy;
+    engine.addPeriodic(
+        interval,
+        [p, injector](double now) {
+            if (injector && injector->dropPoll(now))
+                return;
+            p->tick(now);
+        },
+        0.0);
 }
 
 } // namespace iat::fault

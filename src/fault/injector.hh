@@ -11,16 +11,17 @@
  *  - engine one-shot/periodic hooks: the armed window, NIC link
  *    flaps, Rx ring stalls and tenant churn, all scheduled in
  *    simulated time so they replay identically;
- *  - the daemon driver's poll wrapper (dropPoll()): dropped polls,
- *    which the daemon's watchdog then observes as late ticks.
+ *  - the policy's poll wrapper (dropPoll(), called from the hook
+ *    attachPolicy() installs): dropped polls, which the daemon's
+ *    watchdog then observes as late ticks.
  *
  * All randomness comes from one seeded Rng, so a (plan, seed) pair
  * determines every event: chaos campaigns replay byte-identically.
  * Every injected event is counted, and mirrored into the telemetry
  * metrics/tracer when a session is attached.
  *
- * Lifecycle contract: arm() must be called after the policy runtime
- * is attached to the engine, so the daemon's setup tick at t=0 runs
+ * Lifecycle contract: arm() must be called after the policy is
+ * attached to the engine, so the daemon's setup tick at t=0 runs
  * before any fault can fire (real deployments, too, boot before the
  * weather starts).
  */
@@ -38,6 +39,10 @@
 #include "rdt/msr.hh"
 #include "sim/engine.hh"
 #include "util/rng.hh"
+
+namespace iat::core {
+class Policy;
+} // namespace iat::core
 
 namespace iat::obs {
 class Counter;
@@ -75,8 +80,8 @@ class FaultInjector : public rdt::MsrFaultHook
     void arm(sim::Engine &engine, sim::Platform &platform);
 
     /**
-     * Poll-drop gate, called by the daemon driver before each tick;
-     * true means this poll is lost (the driver skips the tick).
+     * Poll-drop gate, called by the policy hook before each tick;
+     * true means this poll is lost (the hook skips the tick).
      */
     bool dropPoll(double now);
 
@@ -147,6 +152,19 @@ class FaultInjector : public rdt::MsrFaultHook
     obs::Counter *m_ring_stalls_ = nullptr;
     obs::Counter *m_churn_events_ = nullptr;
 };
+
+/**
+ * Hook @p policy's tick into @p engine every @p interval seconds,
+ * starting with the setup tick at t=0. With an @p injector, each
+ * tick first asks dropPoll() whether this poll is lost. Call before
+ * FaultInjector::arm(); @p policy must outlive the engine's runs.
+ *
+ * Static gets no hook: it programmed its layout at construction, and
+ * a hook would draw dropPoll() coins from the injector's shared Rng
+ * and re-apply the layout on churn, changing every faulted run.
+ */
+void attachPolicy(sim::Engine &engine, core::Policy &policy,
+                  double interval, FaultInjector *injector = nullptr);
 
 } // namespace iat::fault
 

@@ -1,39 +1,18 @@
 /**
  * @file
- * Shared experiment plumbing: the static baseline allocation and
- * small measurement helpers used by benches and integration tests.
+ * Shared experiment plumbing: the static baseline allocation used by
+ * benches and integration tests. The layout lives in core next to
+ * StaticPolicy (core/baselines.hh); scenarios keep its name.
  */
 
 #ifndef IATSIM_SCENARIOS_COMMON_HH
 #define IATSIM_SCENARIOS_COMMON_HH
 
-#include <cstdint>
-#include <vector>
-
-#include "core/tenant.hh"
-#include "rdt/pqos.hh"
+#include "core/baselines.hh"
 
 namespace iat::scenarios {
 
-/**
- * Program the paper's "basic static CAT" baseline: tenants get their
- * initial way counts, bottom-packed PC/stack-first (the same layout
- * the IAT daemon starts from), cores associated with per-tenant
- * CLOS, monitoring RMIDs assigned. DDIO stays at the hardware value.
- *
- * Returns the per-tenant masks that were programmed.
- */
-std::vector<cache::WayMask> applyStaticLayout(
-    rdt::PqosSystem &pqos, const core::TenantRegistry &registry);
-
-/**
- * Program an explicit per-tenant order (bottom -> top), used by
- * benches that randomize baseline placement (Figs 12-14 shuffle the
- * non-networking tenants' slots at start).
- */
-std::vector<cache::WayMask> applyStaticLayout(
-    rdt::PqosSystem &pqos, const core::TenantRegistry &registry,
-    const std::vector<std::size_t> &order);
+using core::applyStaticLayout;
 
 } // namespace iat::scenarios
 

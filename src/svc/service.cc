@@ -94,9 +94,8 @@ ServiceConfig::fromCli(const CliArgs &args)
     const std::string policy_name = args.getString("policy", "");
     if (!policy_name.empty() &&
         !core::parsePolicyKind(policy_name, cfg.policy)) {
-        fatal("unknown policy '%s' "
-              "(static|core-only|io-iso|iat|ioca|lfoc)",
-              policy_name.c_str());
+        fatal("unknown policy '%s' (%s)", policy_name.c_str(),
+              core::policyKindLabels().c_str());
     }
     cfg.traffic_rate = args.getDouble("rate", 1.0);
     const std::string tenant_file = args.getString("tenants", "");

@@ -9,6 +9,7 @@
 
 #include <gtest/gtest.h>
 
+#include "core/daemon.hh"
 #include "sim/platform.hh"
 
 namespace iat {

@@ -60,9 +60,26 @@ class BaselinesTest : public testing::Test
 
 TEST_F(BaselinesTest, StaticPolicyDoesNothing)
 {
-    StaticPolicy policy;
-    policy.tick(0.0); // compiles, runs, touches nothing
-    EXPECT_EQ(platform.llc().ddioMask().count(), 2u);
+    // The Core-only growth scenario below, under the static baseline:
+    // the working-set explosion that makes a dynamic policy grow the
+    // tenant must leave every mask as construction programmed it.
+    addTenant("filler", 1, 7, TenantPriority::PerformanceCritical);
+    addTenant("xmem", 0, 2, TenantPriority::PerformanceCritical);
+    StaticPolicy policy(platform.pqos(), registry);
+    const auto filler = platform.llc().closMask(1);
+    const auto xmem = platform.llc().closMask(2);
+    const auto ddio = platform.llc().ddioMask();
+    EXPECT_EQ(ddio.count(), 2u);
+
+    for (int i = 0; i < 4; ++i) {
+        coreTraffic(0, 60000, 2ull << 30);
+        platform.retire(0, 400'000);
+        platform.advanceQuantum(0.01);
+        policy.tick(i);
+    }
+    EXPECT_EQ(platform.llc().closMask(1), filler);
+    EXPECT_EQ(platform.llc().closMask(2), xmem);
+    EXPECT_EQ(platform.llc().ddioMask(), ddio);
 }
 
 TEST_F(BaselinesTest, CoreOnlySetupProgramsInitialMasks)

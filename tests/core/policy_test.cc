@@ -1,7 +1,7 @@
 /**
  * @file
  * Unit tests for the policy registry: label round-trips, the
- * contract table, and the makePolicy factory adapters.
+ * contract table, and the makePolicy factory.
  */
 
 #include "core/policy.hh"
@@ -96,6 +96,8 @@ TEST(PolicyKindTest, AllKindsAreUniqueAndUniquelyLabelled)
     for (const auto kind : kinds)
         labels.insert(toString(kind));
     EXPECT_EQ(labels.size(), kinds.size());
+    EXPECT_EQ(policyKindLabels(),
+              "baseline|core-only|io-iso|IAT|IAT-noddio|ioca|lfoc");
 }
 
 TEST(PolicyKindTest, ContractTable)
@@ -160,18 +162,18 @@ TEST_F(PolicyTest, FactoryBuildsEveryKind)
                                kind == PolicyKind::IatNoDdio;
         EXPECT_EQ(policy->daemon() != nullptr, is_daemon)
             << toString(kind)
-            << ": daemon() must expose the wrapped IatDaemon for "
-               "the IAT kinds only";
+            << ": daemon() must expose the IatDaemon for the IAT "
+               "kinds only";
     }
 }
 
-TEST_F(PolicyTest, StaticAdapterProgramsLayoutAtConstruction)
+TEST_F(PolicyTest, StaticPolicyProgramsLayoutAtConstruction)
 {
     addTenant("a", 0, 3);
     addTenant("b", 1, 2, TenantPriority::BestEffort);
     auto policy = makePolicy(PolicyKind::Static, platform.pqos(),
                              registry, IatParams{});
-    // No tick yet: the benches' Baseline path programs immediately.
+    // No tick yet: the layout is programmed at construction.
     const auto a = platform.llc().closMask(1);
     const auto b = platform.llc().closMask(2);
     EXPECT_EQ(a.count(), 3u);
@@ -187,7 +189,7 @@ TEST_F(PolicyTest, StaticAdapterProgramsLayoutAtConstruction)
     EXPECT_FALSE(c.overlaps(platform.llc().closMask(2)));
 }
 
-TEST_F(PolicyTest, StaticAdapterNeverMovesDdio)
+TEST_F(PolicyTest, StaticPolicyNeverMovesDdio)
 {
     addTenant("a", 0, 3);
     const auto before = platform.llc().ddioMask();

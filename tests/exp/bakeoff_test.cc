@@ -75,9 +75,9 @@ TEST(Bakeoff, ShippedSpecsCoverEveryPolicy)
 
 TEST(Bakeoff, RunCaseIsDeterministicFaultFree)
 {
-    const auto a = bakeoffRunCase(Policy::Lfoc, "agg",
+    const auto a = bakeoffRunCase(core::PolicyKind::Lfoc, "agg",
                                   fault::FaultPlan{}, kScale, 11);
-    const auto b = bakeoffRunCase(Policy::Lfoc, "agg",
+    const auto b = bakeoffRunCase(core::PolicyKind::Lfoc, "agg",
                                   fault::FaultPlan{}, kScale, 11);
     EXPECT_EQ(a.tput_mps, b.tput_mps);
     EXPECT_EQ(a.p99_us, b.p99_us);
@@ -99,10 +99,10 @@ TEST(Bakeoff, RunCaseIsDeterministicUnderFaults)
     plan.read_noise_mag = 16;
     plan.write_reject = 0.15;
     plan.poll_drop = 0.1;
-    const auto a =
-        bakeoffRunCase(Policy::Ioca, "agg", plan, kScale, 11);
-    const auto b =
-        bakeoffRunCase(Policy::Ioca, "agg", plan, kScale, 11);
+    const auto a = bakeoffRunCase(core::PolicyKind::Ioca, "agg", plan,
+                                  kScale, 11);
+    const auto b = bakeoffRunCase(core::PolicyKind::Ioca, "agg", plan,
+                                  kScale, 11);
     EXPECT_EQ(a.tput_mps, b.tput_mps);
     EXPECT_EQ(a.p99_us, b.p99_us);
     EXPECT_EQ(a.jain, b.jain);
@@ -112,6 +112,28 @@ TEST(Bakeoff, RunCaseIsDeterministicUnderFaults)
     EXPECT_EQ(a.polls_dropped, b.polls_dropped);
     EXPECT_GT(a.read_faults + a.write_rejects + a.polls_dropped, 0u)
         << "the plan must actually fire for this to gate anything";
+}
+
+TEST(Bakeoff, FaultedStaticRunDrawsNoPollsAndWritesNoMsr)
+{
+    // The faulted baseline rows of bakeoff.exp stay byte-identical
+    // only because Static installs no tick hook (fault::attachPolicy):
+    // a hook would draw poll-drop coins from the injector's shared Rng
+    // and re-apply the layout on churn through the faulty MSR bus.
+    const auto spec = exp::ExperimentSpec::loadFile(
+        std::string(IATSIM_SOURCE_DIR) + "/experiments/bakeoff.exp");
+    fault::FaultPlan plan;
+    for (const auto &[key, value] : spec.fault)
+        plan.set(key, value);
+    // Every hooked poll drops and churn lands inside the short
+    // window, so a hook could not go unnoticed at this scale.
+    plan.poll_drop = 1.0;
+    plan.churn_period_seconds = 0.005;
+
+    const auto r = bakeoffRunCase(core::PolicyKind::Static, "agg", plan,
+                                  kScale, 11);
+    EXPECT_EQ(r.polls_dropped, 0u);
+    EXPECT_EQ(r.write_rejects, 0u);
 }
 
 TEST(Bakeoff, TrialEmitsTheFairnessAxis)

@@ -11,6 +11,7 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <vector>
 
 #include "exp/spec.hh"
 
@@ -76,32 +77,56 @@ TEST(Sweeps, FigSpecsShareTheCampaignSeed)
 
 TEST(Sweeps, PolicyLabels)
 {
+    using core::PolicyKind;
     // Machine labels are distinct per policy...
-    EXPECT_STREQ(toString(Policy::Iat), "IAT");
-    EXPECT_STREQ(toString(Policy::IatNoDdioTuning), "IAT-noddio");
+    EXPECT_STREQ(core::toString(PolicyKind::Iat), "IAT");
+    EXPECT_STREQ(core::toString(PolicyKind::IatNoDdio), "IAT-noddio");
     // ...while the figure label folds the footnote-3 ablation back
-    // into the paper-facing name.
-    EXPECT_STREQ(figureLabel(Policy::Iat), "IAT");
-    EXPECT_STREQ(figureLabel(Policy::IatNoDdioTuning), "IAT");
-    EXPECT_STREQ(figureLabel(Policy::Baseline), "baseline");
+    // into the paper-facing name and capitalizes the related work.
+    EXPECT_STREQ(figureLabel(PolicyKind::Iat), "IAT");
+    EXPECT_STREQ(figureLabel(PolicyKind::IatNoDdio), "IAT");
+    EXPECT_STREQ(figureLabel(PolicyKind::Static), "baseline");
+    EXPECT_STREQ(figureLabel(PolicyKind::Ioca), "IOCA");
+    EXPECT_STREQ(figureLabel(PolicyKind::Lfoc), "LFOC");
 }
 
 TEST(Sweeps, ParsePolicyRoundTripsEveryLabel)
 {
-    for (const Policy policy :
-         {Policy::Baseline, Policy::CoreOnly, Policy::IoIso,
-          Policy::Iat, Policy::IatNoDdioTuning}) {
-        Policy parsed;
-        ASSERT_TRUE(parsePolicy(toString(policy), parsed))
-            << toString(policy);
-        EXPECT_EQ(parsed, policy) << toString(policy);
+    // Every policy a shipped per-node spec names, as a constant or on
+    // an axis, parses to a registered kind whose machine label parses
+    // back to the same kind: a typo fails here, not mid-campaign.
+    std::size_t labels = 0;
+    for (const char *file :
+         {"fig09_flow_count.exp", "fig10_shuffle.exp", "chaos.exp",
+          "bakeoff.exp", "bakeoff_smoke.exp"}) {
+        const auto spec = exp::ExperimentSpec::loadFile(
+            std::string(IATSIM_SOURCE_DIR) + "/experiments/" + file);
+        std::vector<std::string> names;
+        for (const auto &[key, value] : spec.constants) {
+            if (key == "policy")
+                names.push_back(value);
+        }
+        for (const auto &axis : spec.axes) {
+            if (axis.name == "policy")
+                names.insert(names.end(), axis.values.begin(),
+                             axis.values.end());
+        }
+        EXPECT_FALSE(names.empty()) << file;
+        for (const auto &name : names) {
+            core::PolicyKind kind;
+            ASSERT_TRUE(core::parsePolicyKind(name, kind))
+                << file << ": " << name;
+            core::PolicyKind reparsed;
+            ASSERT_TRUE(
+                core::parsePolicyKind(core::toString(kind), reparsed))
+                << core::toString(kind);
+            EXPECT_EQ(reparsed, kind) << file << ": " << name;
+            ++labels;
+        }
     }
-    Policy parsed;
-    EXPECT_TRUE(parsePolicy("iat-noddio", parsed));
-    EXPECT_EQ(parsed, Policy::IatNoDdioTuning);
-    EXPECT_TRUE(parsePolicy("iat", parsed));
-    EXPECT_EQ(parsed, Policy::Iat);
-    EXPECT_FALSE(parsePolicy("bogus", parsed));
+    EXPECT_EQ(labels, 19u);
+    core::PolicyKind parsed;
+    EXPECT_FALSE(core::parsePolicyKind("bogus", parsed));
 }
 
 TEST(Sweeps, L3fwdTrialIsDeterministic)

@@ -19,6 +19,7 @@ namespace iat::bench {
 namespace {
 
 constexpr double kScale = 0.1; // tiny windows; keeps the test fast
+constexpr auto kIat = core::PolicyKind::Iat;
 
 /** The shipped chaos.exp reference plan, loaded from the spec so the
  *  test and the campaign can never drift apart. */
@@ -36,7 +37,7 @@ shippedPlan()
 TEST(Chaos, FaultFreeRunHasNoFaultOrHardeningActivity)
 {
     const fault::FaultPlan empty;
-    const auto r = chaosRunCase(Policy::Iat, empty, true, kScale, 1);
+    const auto r = chaosRunCase(kIat, empty, true, kScale, 1);
 
     EXPECT_GT(r.tx_mpps, 0.0);
     EXPECT_EQ(r.mask_drift_ways, 0u);
@@ -60,8 +61,8 @@ TEST(Chaos, HardenedCampaignSurvivesWithBoundedLoss)
     ASSERT_TRUE(plan.any());
 
     const fault::FaultPlan empty;
-    const auto clean = chaosRunCase(Policy::Iat, empty, true, kScale, 1);
-    const auto chaos = chaosRunCase(Policy::Iat, plan, true, kScale, 1);
+    const auto clean = chaosRunCase(kIat, empty, true, kScale, 1);
+    const auto chaos = chaosRunCase(kIat, plan, true, kScale, 1);
 
     // The run completed (no crash) and actually saw faults.
     EXPECT_GT(chaos.tx_mpps, 0.0);
@@ -84,8 +85,8 @@ TEST(Chaos, ReplayIsDeterministic)
 {
     const auto plan = shippedPlan();
 
-    const auto a = chaosRunCase(Policy::Iat, plan, true, kScale, 7);
-    const auto b = chaosRunCase(Policy::Iat, plan, true, kScale, 7);
+    const auto a = chaosRunCase(kIat, plan, true, kScale, 7);
+    const auto b = chaosRunCase(kIat, plan, true, kScale, 7);
 
     EXPECT_EQ(a.tx_mpps, b.tx_mpps); // bitwise, not approximate
     EXPECT_EQ(a.hw_ddio_ways, b.hw_ddio_ways);
@@ -108,7 +109,7 @@ TEST(Chaos, ReplayIsDeterministic)
 
     // A different trial seed reseeds the fault schedule (chaos.exp
     // defers: fault seed 0 -> trial seed) and must diverge somewhere.
-    const auto c = chaosRunCase(Policy::Iat, plan, true, kScale, 8);
+    const auto c = chaosRunCase(kIat, plan, true, kScale, 8);
     EXPECT_TRUE(a.tx_mpps != c.tx_mpps ||
                 a.read_faults != c.read_faults ||
                 a.write_rejects != c.write_rejects ||
@@ -143,7 +144,7 @@ TEST(Chaos, UnhardenedDaemonMisallocates)
     auto plan = shippedPlan();
     plan.set("write_reject", "0.6");
 
-    const auto soft = chaosRunCase(Policy::Iat, plan, false, kScale, 1);
+    const auto soft = chaosRunCase(kIat, plan, false, kScale, 1);
 
     // Rejections happened and the unhardened daemon never retried:
     // its book-keeping and the hardware disagree at some checkpoint.

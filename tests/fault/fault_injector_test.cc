@@ -2,13 +2,15 @@
  * @file
  * Unit tests for the FaultInjector: arming windows, MSR read/write
  * perturbation discipline, poll drops, NIC schedules and tenant
- * churn -- all seeded and replayable.
+ * churn -- all seeded and replayable -- plus the attachPolicy() hook
+ * that consults it.
  */
 
 #include "fault/injector.hh"
 
 #include <gtest/gtest.h>
 
+#include "core/policy.hh"
 #include "rdt/msr.hh"
 #include "sim/engine.hh"
 #include "sim/platform.hh"
@@ -207,6 +209,54 @@ TEST(FaultInjector, ChurnNeverEmptiesTheRegistry)
     rig.runPast(0.05);
     EXPECT_EQ(registry.size(), 1u);
     EXPECT_EQ(rig.injector.churnEvents(), 0u);
+}
+
+/** Counts its ticks under whatever kind the test names. */
+class CountingPolicy final : public core::Policy
+{
+  public:
+    explicit CountingPolicy(core::PolicyKind kind) : kind_(kind) {}
+
+    void tick(double) override { ++ticks; }
+    core::PolicyKind kind() const override { return kind_; }
+
+    std::uint64_t ticks = 0;
+
+  private:
+    core::PolicyKind kind_;
+};
+
+TEST(FaultInjector, AttachedPolicyNeverTicksWhenEveryPollDrops)
+{
+    FaultPlan plan;
+    plan.seed = 1;
+    plan.poll_drop = 1.0;
+    Rig rig(plan); // arms at t=0, ahead of the t=0 setup tick
+    CountingPolicy gated(core::PolicyKind::CoreOnly);
+    CountingPolicy free_running(core::PolicyKind::CoreOnly);
+    attachPolicy(rig.engine, gated, 0.005, &rig.injector);
+    attachPolicy(rig.engine, free_running, 0.005);
+
+    rig.runPast(0.05);
+    EXPECT_EQ(gated.ticks, 0u);
+    EXPECT_GE(free_running.ticks, 10u);
+    EXPECT_EQ(rig.injector.pollsDropped(), free_running.ticks);
+}
+
+TEST(FaultInjector, StaticPolicyGetsNoHook)
+{
+    FaultPlan plan;
+    plan.seed = 1;
+    plan.poll_drop = 1.0;
+    Rig rig(plan);
+    CountingPolicy baseline(core::PolicyKind::Static);
+    attachPolicy(rig.engine, baseline, 0.005, &rig.injector);
+    attachPolicy(rig.engine, baseline, 0.005);
+
+    rig.runPast(0.05);
+    EXPECT_EQ(baseline.ticks, 0u);
+    EXPECT_EQ(rig.injector.pollsDropped(), 0u)
+        << "an un-hooked Static draws no poll-drop coins";
 }
 
 } // namespace

@@ -7,10 +7,25 @@
 
 #include <gtest/gtest.h>
 
+#include <ostream>
+
 #include "sim/engine.hh"
 #include "util/units.hh"
 
 namespace iat::wl {
+
+/**
+ * Print a profile by name. Without a printer gtest dumps the raw
+ * bytes, which include the std::string's heap pointer, into the
+ * parameterized test names -- so every build would register the
+ * SpecProfileProperty cases under different names.
+ */
+void
+PrintTo(const SpecProfile &profile, std::ostream *os)
+{
+    *os << profile.name;
+}
+
 namespace {
 
 sim::PlatformConfig

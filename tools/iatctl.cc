@@ -36,7 +36,6 @@
 #include <vector>
 
 #include "cluster/world.hh"
-#include "core/baselines.hh"
 #include "core/daemon.hh"
 #include "core/policy.hh"
 #include "obs/stream/exporter.hh"
@@ -45,7 +44,6 @@
 #include "fault/plan.hh"
 #include "obs/telemetry.hh"
 #include "scenarios/agg_testpmd.hh"
-#include "scenarios/common.hh"
 #include "scenarios/corun.hh"
 #include "scenarios/slicing_pmd_xmem.hh"
 #include "sim/stats_report.hh"
@@ -180,70 +178,17 @@ cmdRun(const CliArgs &args)
     }
 
     // Attach the policy.
-    std::unique_ptr<core::IatDaemon> daemon;
-    std::unique_ptr<core::CoreOnlyPolicy> core_only;
-    std::unique_ptr<core::IoIsolationPolicy> io_iso;
-    std::unique_ptr<core::Policy> generic;
-    if (policy_name == "iat") {
-        daemon = std::make_unique<core::IatDaemon>(
-            platform.pqos(), *registry, params, model);
-        daemon->setHardeningEnabled(hardening);
-        daemon->setTelemetry(telemetry.get());
-        engine.addPeriodic(params.interval_seconds,
-                           [&](double now) {
-                               if (injector &&
-                                   injector->dropPoll(now)) {
-                                   return;
-                               }
-                               daemon->tick(now);
-                           },
-                           0.0);
-    } else if (policy_name == "core-only") {
-        core_only = std::make_unique<core::CoreOnlyPolicy>(
-            platform.pqos(), *registry, params);
-        engine.addPeriodic(params.interval_seconds,
-                           [&](double now) {
-                               if (injector &&
-                                   injector->dropPoll(now)) {
-                                   return;
-                               }
-                               core_only->tick(now);
-                           },
-                           0.0);
-    } else if (policy_name == "io-iso") {
-        io_iso = std::make_unique<core::IoIsolationPolicy>(
-            platform.pqos(), *registry, params);
-        engine.addPeriodic(params.interval_seconds,
-                           [&](double now) {
-                               if (injector &&
-                                   injector->dropPoll(now)) {
-                                   return;
-                               }
-                               io_iso->tick(now);
-                           },
-                           0.0);
-    } else if (policy_name == "ioca" || policy_name == "lfoc") {
-        core::PolicyKind kind = core::PolicyKind::Ioca;
-        core::parsePolicyKind(policy_name, kind);
-        generic = core::makePolicy(kind, platform.pqos(), *registry,
-                                   params, model, telemetry.get(),
-                                   hardening);
-        engine.addPeriodic(params.interval_seconds,
-                           [&](double now) {
-                               if (injector &&
-                                   injector->dropPoll(now)) {
-                                   return;
-                               }
-                               generic->tick(now);
-                           },
-                           0.0);
-    } else if (policy_name == "baseline") {
-        scenarios::applyStaticLayout(platform.pqos(), *registry);
-    } else {
-        fatal("unknown policy '%s' "
-              "(baseline|core-only|io-iso|iat|ioca|lfoc)",
-              policy_name.c_str());
+    core::PolicyKind kind;
+    if (!core::parsePolicyKind(policy_name, kind)) {
+        fatal("unknown policy '%s' (%s)", policy_name.c_str(),
+              core::policyKindLabels().c_str());
     }
+    const auto policy =
+        core::makePolicy(kind, platform.pqos(), *registry, params, model,
+                         telemetry.get(), hardening);
+    fault::attachPolicy(engine, *policy, params.interval_seconds,
+                        injector.get());
+    core::IatDaemon *daemon = policy->daemon();
 
     // Arm faults AFTER the policy attach so the daemon's t=0 setup
     // tick runs before any MSR hook installs (the arm() contract).
@@ -653,8 +598,7 @@ usage()
     std::printf(
         "usage: iatctl <command> [flags]\n"
         "  run     run a scenario under a policy\n"
-        "          --scenario=agg|slicing|corun --policy=baseline|"
-        "core-only|io-iso|iat|ioca|lfoc\n"
+        "          --scenario=agg|slicing|corun --policy=%s\n"
         "          --seconds=0.2 --frame=1500 --interval=0.005\n"
         "          --tenants=<affiliation file> (bare platform)\n"
         "          --stats (full platform counter report)\n"
@@ -704,7 +648,8 @@ usage()
         "ways=2 prio=be\n"
         "          iatctl service detach-tenant name=x\n"
         "          iatctl service set-traffic rate=2.5\n"
-        "          iatctl service toggle-faults [on=true|false]\n");
+        "          iatctl service toggle-faults [on=true|false]\n",
+        core::policyKindLabels().c_str());
 }
 
 } // namespace

@@ -25,6 +25,7 @@
 #include <csignal>
 #include <cstdio>
 
+#include "core/policy.hh"
 #include "svc/service.hh"
 #include "util/cli.hh"
 #include "util/logging.hh"
@@ -79,12 +80,13 @@ usage()
         "invariants every tick\n"
         "  --no-hardening       disable the daemon's fault "
         "hardening\n"
-        "  --policy=<name>      controller to run: static|core-only|"
-        "io-iso|iat|ioca|lfoc (default iat)\n"
+        "  --policy=<name>      controller to run: %s "
+        "(default IAT)\n"
         "  --slo-p99-cycles=<c> arm the slo_p99 watchdog\n"
         "  --churn-storm=<n>    arm the churn_storm watchdog\n"
         "  --fault-*            fault campaign "
-        "(same family as iatctl run)\n");
+        "(same family as iatctl run)\n",
+        core::policyKindLabels().c_str());
 }
 
 } // namespace
