@@ -18,9 +18,11 @@ lineRatePps40G(std::uint32_t frame_bytes)
 }
 
 TrafficGen::TrafficGen(const TrafficConfig &cfg, std::uint64_t seed)
-    : cfg_(cfg), rng_(seed),
-      zipf_(std::max<std::uint64_t>(cfg.num_flows, 1), cfg.zipf_theta)
+    : cfg_(cfg), rng_(seed)
 {
+    if (cfg_.flow_dist == FlowDistribution::Zipfian)
+        zipf_.emplace(std::max<std::uint64_t>(cfg_.num_flows, 1),
+                      cfg_.zipf_theta);
     IAT_ASSERT(cfg_.rate_pps > 0.0, "traffic rate must be positive");
     IAT_ASSERT(cfg_.burst_size >= 1, "burst size must be >= 1");
     const double wire =
@@ -50,7 +52,7 @@ TrafficGen::setNumFlows(std::uint64_t num_flows)
     if (cfg_.flow_dist == FlowDistribution::Single && num_flows > 1)
         cfg_.flow_dist = FlowDistribution::Uniform;
     if (cfg_.flow_dist == FlowDistribution::Zipfian)
-        zipf_ = ZipfGenerator(num_flows, cfg_.zipf_theta);
+        zipf_.emplace(num_flows, cfg_.zipf_theta);
 }
 
 void
@@ -92,7 +94,7 @@ TrafficGen::nextFlow()
       case FlowDistribution::Uniform:
         return rng_.below(std::max<std::uint64_t>(cfg_.num_flows, 1));
       case FlowDistribution::Zipfian:
-        return zipf_.nextScrambled(rng_);
+        return zipf_->nextScrambled(rng_);
     }
     panic("unreachable flow distribution");
 }

@@ -16,6 +16,7 @@
 #define IATSIM_NET_TRAFFIC_HH
 
 #include <cstdint>
+#include <optional>
 
 #include "util/rng.hh"
 #include "util/units.hh"
@@ -74,8 +75,14 @@ class TrafficGen
 
   private:
     TrafficConfig cfg_;
+    /** One stream for burst gaps and flow draws, in draw order. */
     Rng rng_;
-    ZipfGenerator zipf_;
+    /**
+     * Zipf normaliser over num_flows, held only while flow_dist is
+     * Zipfian: building one sums num_flows pow() terms
+     * (ZipfGenerator::zeta), which Single and Uniform draws never read.
+     */
+    std::optional<ZipfGenerator> zipf_;
     std::uint32_t burst_left_ = 0;
     double wire_gap_;
     double burst_gap_;

@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstddef>
 #include <map>
 #include <set>
 
@@ -180,6 +181,156 @@ TEST(Traffic, SetNumFlowsRebuildsZipf)
     gen.setNumFlows(10000);
     for (int i = 0; i < 5000; ++i)
         EXPECT_LT(gen.nextFlow(), 10000u);
+}
+
+TEST(Traffic, UniformBuildsNoZipfNormaliser)
+{
+    // A Zipf normaliser refuses theta = 1.0, so a generator that
+    // constructs and draws with it has built none.
+    TrafficConfig cfg;
+    cfg.flow_dist = FlowDistribution::Uniform;
+    cfg.num_flows = 1'000'000;
+    cfg.zipf_theta = 1.0;
+    TrafficGen gen(cfg, 15);
+    for (int i = 0; i < 1000; ++i)
+        EXPECT_LT(gen.nextFlow(), 1'000'000u);
+
+    // Nor does promoting a Single generator to Uniform.
+    cfg.flow_dist = FlowDistribution::Single;
+    cfg.num_flows = 1;
+    TrafficGen promoted(cfg, 15);
+    promoted.setNumFlows(1'000'000);
+    for (int i = 0; i < 1000; ++i)
+        EXPECT_LT(promoted.nextFlow(), 1'000'000u);
+}
+
+/**
+ * The first 64 (nextGap(), nextFlow()) draws of one generator at seed
+ * 2024 with the default burst of 32 and jitter on: draws 0 and 32
+ * open a burst with an exponential gap from the same rng_ stream the
+ * flows draw from, the other 62 gaps are the 64 B wire gap. A shifted
+ * or reordered stream changes these values.
+ */
+struct Stream
+{
+    double burst_gaps[2];
+    std::uint64_t flows[64];
+};
+
+constexpr double kWireGap64B = 1.6800000000000002e-08;
+
+constexpr Stream kSingle = {
+    {9.0820711177167464e-05, 7.7492462580210616e-06},
+    {0, 0, 0, 0, 0, 0, 0, 0,
+     0, 0, 0, 0, 0, 0, 0, 0,
+     0, 0, 0, 0, 0, 0, 0, 0,
+     0, 0, 0, 0, 0, 0, 0, 0,
+     0, 0, 0, 0, 0, 0, 0, 0,
+     0, 0, 0, 0, 0, 0, 0, 0,
+     0, 0, 0, 0, 0, 0, 0, 0,
+     0, 0, 0, 0, 0, 0, 0, 0}};
+
+constexpr Stream kUniform1M = {
+    {9.0820711177167464e-05, 6.4275474155634044e-05},
+    {782103, 72054, 159715, 773650, 244872, 394335, 257007, 556785,
+     50667, 720344, 931729, 881997, 366324, 773409, 189906, 42853,
+     652727, 810053, 401922, 649205, 303988, 194663, 418662, 480020,
+     2746, 502313, 240355, 510696, 585162, 963394, 502371, 131399,
+     845197, 845301, 57038, 727732, 231136, 954062, 877470, 580632,
+     127752, 270786, 331828, 405530, 749492, 345992, 887686, 411458,
+     360728, 457507, 30575, 721528, 855442, 387096, 612206, 371933,
+     731895, 17226, 145585, 61852, 512949, 941598, 906476, 636995}};
+
+constexpr Stream kZipfian1000 = {
+    {9.0820711177167464e-05, 6.4275474155634044e-05},
+    {356, 405, 996, 160, 223, 652, 814, 983,
+     405, 997, 868, 414, 178, 569, 996, 405,
+     426, 570, 879, 835, 769, 223, 470, 535,
+     405, 899, 223, 373, 255, 623, 899, 996,
+     301, 314, 405, 770, 223, 259, 304, 28,
+     405, 814, 360, 879, 11, 587, 680, 470,
+     178, 834, 405, 588, 607, 652, 457, 61,
+     310, 405, 996, 405, 373, 342, 5, 522}};
+
+constexpr Stream kZipfian100To5000 = {
+    {9.0820711177167464e-05, 6.4275474155634044e-05},
+    {549, 4405, 3223, 1569, 1769, 1126, 2360, 4354,
+     4405, 102, 2366, 1870, 4243, 4395, 3223, 4405,
+     3441, 3960, 4081, 3603, 3061, 3223, 3490, 2255,
+     4405, 4457, 1769, 749, 1932, 4726, 4457, 4996,
+     4494, 1377, 4405, 1498, 1769, 1385, 4847, 2256,
+     4996, 2360, 1879, 1288, 3073, 425, 4605, 2899,
+     1016, 1983, 4405, 2855, 2174, 2308, 4031, 4834,
+     1887, 4405, 4996, 4405, 4567, 2013, 579, 4245}};
+
+void
+expectStream(TrafficGen &gen, const Stream &golden)
+{
+    for (std::size_t i = 0; i < 64; ++i) {
+        const double gap = gen.nextGap();
+        const std::uint64_t flow = gen.nextFlow();
+        // Within 4 ulps: the burst gaps go through std::log.
+        EXPECT_DOUBLE_EQ(gap, i % 32 == 0 ? golden.burst_gaps[i / 32]
+                                          : kWireGap64B)
+            << "draw " << i;
+        EXPECT_EQ(flow, golden.flows[i]) << "draw " << i;
+    }
+}
+
+TEST(TrafficStream, SingleIsPinned)
+{
+    TrafficConfig cfg;
+    TrafficGen gen(cfg, 2024);
+    expectStream(gen, kSingle);
+}
+
+TEST(TrafficStream, Uniform1MIsPinned)
+{
+    // The bakeoff agg and l3fwd flow table.
+    TrafficConfig cfg;
+    cfg.flow_dist = FlowDistribution::Uniform;
+    cfg.num_flows = 1'000'000;
+    TrafficGen gen(cfg, 2024);
+    expectStream(gen, kUniform1M);
+}
+
+TEST(TrafficStream, ZipfianIsPinned)
+{
+    TrafficConfig cfg;
+    cfg.flow_dist = FlowDistribution::Zipfian;
+    cfg.num_flows = 1000;
+    cfg.zipf_theta = 0.99;
+    TrafficGen gen(cfg, 2024);
+    expectStream(gen, kZipfian1000);
+}
+
+TEST(TrafficStream, ZipfianAfterSetNumFlowsIsPinned)
+{
+    TrafficConfig cfg;
+    cfg.flow_dist = FlowDistribution::Zipfian;
+    cfg.num_flows = 100;
+    TrafficGen gen(cfg, 2024);
+    gen.setNumFlows(5000);
+    expectStream(gen, kZipfian100To5000);
+}
+
+TEST(TrafficDeath, ZipfianRejectsThetaOne)
+{
+    // A Zipfian generator checks theta wherever it builds the
+    // normaliser: at construction, and again on every setNumFlows. A
+    // construct-then-regrow sequence (Fig 9's ramp) therefore dies
+    // before it can draw with theta = 1.0.
+    TrafficConfig cfg;
+    cfg.flow_dist = FlowDistribution::Zipfian;
+    cfg.num_flows = 100;
+    cfg.zipf_theta = 1.0;
+    EXPECT_DEATH(TrafficGen(cfg, 16), "theta");
+    EXPECT_DEATH(
+        {
+            TrafficGen gen(cfg, 16);
+            gen.setNumFlows(5000);
+        },
+        "theta");
 }
 
 TEST(TrafficDeath, RejectsZeroFlows)
