@@ -46,7 +46,7 @@ runCase(bool adaptive, double scale, std::uint64_t seed)
     params.interval_seconds = 5e-3;
     params.adaptive_io_step = adaptive;
     core::IatDaemon daemon(platform.pqos(), world.registry(),
-                           params, core::TenantModel::Aggregation);
+                           params, world.model());
 
     Row row;
     unsigned last_change = 0;

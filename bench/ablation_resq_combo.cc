@@ -49,8 +49,7 @@ runCase(bool with_iat, std::uint32_t ring_entries, double scale,
     params.interval_seconds = 5e-3;
     const auto policy = core::makePolicy(
         with_iat ? core::PolicyKind::Iat : core::PolicyKind::Static,
-        platform.pqos(), world.registry(), params,
-        core::TenantModel::Aggregation);
+        platform.pqos(), world.registry(), params, world.model());
     fault::attachPolicy(engine, *policy, params.interval_seconds);
 
     engine.run(0.06 * scale);

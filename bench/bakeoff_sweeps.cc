@@ -22,9 +22,10 @@
  * Fairness comes out of computeFairness() (bench/common.hh): per
  * tenant slowdown = IPC_solo / IPC_policy, Jain's index over
  * normalized progress, and the worst tenant's slowdown. Throughput
- * and p99 are scenario-native (packets for agg/slicing, Redis
- * responses for corun), reported in M items/s and microseconds so
- * one table holds all scenarios.
+ * and p99 are scenario-native (World::delivered(): packets for
+ * agg/slicing, Redis responses for corun; World::latency() for the
+ * p99), reported in M items/s and microseconds so one table holds
+ * all scenarios.
  *
  * Determinism contract: everything reported derives from simulator
  * counters under a per-trial seed, so the campaign JSONL is
@@ -49,86 +50,13 @@ namespace iat::bench {
 
 namespace {
 
-/**
- * Uniform facade over the three scenario worlds, so one pass driver
- * serves all of them. Implementations own their world; the platform
- * and engine stay with the caller (one fresh pair per pass).
- */
-class BakeoffScenario
+/** Build scenario @p name's world; the platform and engine stay
+ *  with the caller (one fresh pair per pass). */
+std::unique_ptr<scenarios::World>
+makeScenario(const std::string &name, sim::Platform &platform,
+             std::uint64_t seed)
 {
-  public:
-    virtual ~BakeoffScenario() = default;
-
-    virtual core::TenantRegistry &registry() = 0;
-    virtual void attach(sim::Engine &engine) = 0;
-
-    /** Pause/resume one tenant's workload (solo references). */
-    virtual void setTenantActive(std::size_t t, bool active) = 0;
-
-    /** Wire the scenario's NICs into @p injector (pre-arm). Worlds
-     *  that keep their NICs private wire nothing; MSR faults, poll
-     *  drops and churn still apply there. */
-    virtual void wireNics(fault::FaultInjector &injector) = 0;
-
-    /** Clear throughput/latency counters for a window. */
-    virtual void resetWindow() = 0;
-
-    /** Items delivered per second over @p window, in millions. */
-    virtual double throughputMps(double window) const = 0;
-
-    /** Client-observed p99 latency over the window, microseconds. */
-    virtual double p99Us() const = 0;
-
-    /** The tenant-classification model the policies should run. */
-    virtual core::TenantModel model() const = 0;
-};
-
-class AggBakeoff final : public BakeoffScenario
-{
-  public:
-    AggBakeoff(sim::Platform &platform, std::uint64_t seed)
-        : world_(platform, makeConfig(seed))
-    {
-    }
-
-    core::TenantRegistry &registry() override
-    {
-        return world_.registry();
-    }
-    void attach(sim::Engine &engine) override
-    {
-        world_.attach(engine);
-    }
-    void setTenantActive(std::size_t t, bool active) override
-    {
-        world_.setTenantActive(t, active);
-    }
-    void wireNics(fault::FaultInjector &injector) override
-    {
-        for (unsigned i = 0; i < world_.nicCount(); ++i)
-            injector.addNic(world_.nic(i));
-    }
-    void resetWindow() override { world_.resetStats(); }
-    double throughputMps(double window) const override
-    {
-        return static_cast<double>(world_.txPackets()) / window /
-               1e6;
-    }
-    double p99Us() const override
-    {
-        LatencyHistogram merged;
-        for (unsigned i = 0; i < world_.nicCount(); ++i)
-            merged.merge(world_.nic(i).latency());
-        return merged.percentile(0.99) * 1e6;
-    }
-    core::TenantModel model() const override
-    {
-        return core::TenantModel::Aggregation;
-    }
-
-  private:
-    static scenarios::AggTestPmdConfig makeConfig(std::uint64_t seed)
-    {
+    if (name == "agg") {
         scenarios::AggTestPmdConfig cfg;
         cfg.frame_bytes = 64;
         // The top of the Fig 9 ramp: flow state large enough that
@@ -136,142 +64,28 @@ class AggBakeoff final : public BakeoffScenario
         cfg.flows = 1'000'000;
         cfg.flow_dist = net::FlowDistribution::Uniform;
         cfg.seed = seed;
-        return cfg;
+        return std::make_unique<scenarios::AggTestPmdWorld>(platform,
+                                                            cfg);
     }
-
-    mutable scenarios::AggTestPmdWorld world_;
-};
-
-class SlicingBakeoff final : public BakeoffScenario
-{
-  public:
-    SlicingBakeoff(sim::Platform &platform, std::uint64_t seed)
-        : world_(platform, makeConfig(seed))
-    {
-    }
-
-    core::TenantRegistry &registry() override
-    {
-        return world_.registry();
-    }
-    void attach(sim::Engine &engine) override
-    {
-        world_.attach(engine);
-    }
-    void setTenantActive(std::size_t t, bool active) override
-    {
-        world_.setTenantActive(t, active);
-    }
-    void wireNics(fault::FaultInjector &injector) override
-    {
-        for (unsigned i = 0; i < world_.vfCount(); ++i)
-            injector.addNic(world_.vf(i));
-    }
-    void resetWindow() override
-    {
-        for (unsigned i = 0; i < world_.vfCount(); ++i)
-            world_.vf(i).resetStats();
-    }
-    double throughputMps(double window) const override
-    {
-        std::uint64_t tx = 0;
-        for (unsigned i = 0; i < world_.vfCount(); ++i)
-            tx += world_.vf(i).txStats().tx_packets;
-        return static_cast<double>(tx) / window / 1e6;
-    }
-    double p99Us() const override
-    {
-        LatencyHistogram merged;
-        for (unsigned i = 0; i < world_.vfCount(); ++i)
-            merged.merge(world_.vf(i).latency());
-        return merged.percentile(0.99) * 1e6;
-    }
-    core::TenantModel model() const override
-    {
-        return core::TenantModel::Slicing;
-    }
-
-  private:
-    static scenarios::SlicingPmdXmemConfig
-    makeConfig(std::uint64_t seed)
-    {
+    if (name == "slicing") {
         scenarios::SlicingPmdXmemConfig cfg;
         // Fig 10's latent contender, already grown: container 4's
         // working set overflows its two ways from the start, so the
         // policies must cope rather than coast.
         cfg.xmem_initial_bytes = 8 * MiB;
         cfg.seed = seed;
-        return cfg;
+        return std::make_unique<scenarios::SlicingPmdXmemWorld>(
+            platform, cfg);
     }
-
-    mutable scenarios::SlicingPmdXmemWorld world_;
-};
-
-class CorunBakeoff final : public BakeoffScenario
-{
-  public:
-    CorunBakeoff(sim::Platform &platform, std::uint64_t seed)
-        : world_(platform, makeConfig(seed))
-    {
-    }
-
-    core::TenantRegistry &registry() override
-    {
-        return world_.registry();
-    }
-    void attach(sim::Engine &engine) override
-    {
-        world_.attach(engine);
-    }
-    void setTenantActive(std::size_t t, bool active) override
-    {
-        world_.setTenantActive(t, active);
-    }
-    void wireNics(fault::FaultInjector &) override
-    {
-        // CorunWorld keeps its NICs private; link-flap and
-        // ring-stall faults do not apply here.
-    }
-    void resetWindow() override { world_.resetWindow(); }
-    double throughputMps(double window) const override
-    {
-        return static_cast<double>(world_.redisResponses()) /
-               window / 1e6;
-    }
-    double p99Us() const override
-    {
-        return world_.redisLatency().percentile(0.99) * 1e6;
-    }
-    core::TenantModel model() const override
-    {
-        // Redis sits behind an OVS-style switch (aggregation), as
-        // the fig12-14 benches run it.
-        return core::TenantModel::Aggregation;
-    }
-
-  private:
-    static scenarios::CorunConfig makeConfig(std::uint64_t seed)
-    {
+    if (name == "corun") {
+        // Redis behind an OVS-style switch (aggregation), as the
+        // fig12-14 benches run it.
         scenarios::CorunConfig cfg;
         cfg.net_app = scenarios::CorunConfig::NetApp::Redis;
         cfg.pc_app = "mcf";
         cfg.seed = seed;
-        return cfg;
+        return std::make_unique<scenarios::CorunWorld>(platform, cfg);
     }
-
-    mutable scenarios::CorunWorld world_;
-};
-
-std::unique_ptr<BakeoffScenario>
-makeScenario(const std::string &name, sim::Platform &platform,
-             std::uint64_t seed)
-{
-    if (name == "agg")
-        return std::make_unique<AggBakeoff>(platform, seed);
-    if (name == "slicing")
-        return std::make_unique<SlicingBakeoff>(platform, seed);
-    if (name == "corun")
-        return std::make_unique<CorunBakeoff>(platform, seed);
     throw std::runtime_error("unknown bakeoff scenario '" + name +
                              "'");
 }
@@ -392,13 +206,14 @@ bakeoffRunCase(core::PolicyKind kind, const std::string &scenario,
     fault::attachPolicy(engine, *policy, params.interval_seconds,
                         injector.get());
     if (injector) {
-        world->wireNics(*injector);
+        for (unsigned i = 0; i < world->nicCount(); ++i)
+            injector->addNic(world->nic(i));
         injector->setRegistry(&registry);
         injector->arm(engine, platform);
     }
 
     engine.run(settle);
-    world->resetWindow();
+    world->resetStats();
     std::vector<CoreCounters> before;
     for (const auto t : measured)
         before.push_back(tally(platform, registry[t]));
@@ -407,8 +222,9 @@ bakeoffRunCase(core::PolicyKind kind, const std::string &scenario,
         r.run_ipc.push_back(ipcDelta(
             before[i], tally(platform, registry[measured[i]])));
     }
-    r.tput_mps = world->throughputMps(window);
-    r.p99_us = world->p99Us();
+    r.tput_mps =
+        static_cast<double>(world->delivered()) / window / 1e6;
+    r.p99_us = world->latency().percentile(0.99) * 1e6;
     r.hw_ddio_ways = platform.pqos().ddioGetWays().count();
     if (injector) {
         r.read_faults = injector->readFaults();

@@ -54,7 +54,7 @@ runCase(core::PolicyKind kind, std::uint32_t frame_bytes,
     params.interval_seconds = 5e-3;
     const auto policy =
         core::makePolicy(kind, platform.pqos(), world.registry(),
-                         params, core::TenantModel::Aggregation);
+                         params, world.model());
     fault::attachPolicy(engine, *policy, params.interval_seconds);
 
     engine.run(0.06 * scale); // settle (daemon ramps DDIO here)

@@ -39,7 +39,7 @@ main(int argc, char **argv)
     core::IatParams params;
     params.interval_seconds = 5e-3;
     core::IatDaemon daemon(platform.pqos(), world.registry(), params,
-                           core::TenantModel::Slicing);
+                           world.model());
     daemon.setDdioTuningEnabled(false); // paper footnote 3
     engine.addPeriodic(params.interval_seconds,
                        [&](double now) { daemon.tick(now); }, 0.0);
@@ -50,8 +50,7 @@ main(int argc, char **argv)
     if (telemetry) {
         daemon.setTelemetry(telemetry.get());
         engine.attachTelemetry(telemetry.get());
-        if (world.pipeline())
-            world.pipeline()->setTelemetry(telemetry.get());
+        world.pipeline()->setTelemetry(telemetry.get());
         sim::installPlatformSampler(engine, platform, *telemetry,
                                     params.interval_seconds);
     }

@@ -46,11 +46,9 @@ measureProgress(core::PolicyKind kind, int placement,
     } else {
         core::IatParams params;
         params.interval_seconds = 5e-3;
-        policy = core::makePolicy(
-            kind, platform.pqos(), world.registry(), params,
-            cfg.net_app == scenarios::CorunConfig::NetApp::Redis
-                ? core::TenantModel::Aggregation
-                : core::TenantModel::Slicing);
+        policy = core::makePolicy(kind, platform.pqos(),
+                                  world.registry(), params,
+                                  world.model());
         fault::attachPolicy(engine, *policy, params.interval_seconds);
         if (auto *daemon = policy->daemon()) {
             // SS VI-C: tenant way tuning disabled for the app study.
@@ -58,7 +56,7 @@ measureProgress(core::PolicyKind kind, int placement,
         }
     }
     engine.run(0.04 * scale);
-    world.resetWindow();
+    world.resetStats();
     engine.run(0.08 * scale);
     return static_cast<double>(world.pcAppProgress());
 }

@@ -48,18 +48,16 @@ measureKindLatencies(core::PolicyKind kind, int placement, char mix,
     } else {
         core::IatParams params;
         params.interval_seconds = 5e-3;
-        policy = core::makePolicy(
-            kind, platform.pqos(), world.registry(), params,
-            net == scenarios::CorunConfig::NetApp::Redis
-                ? core::TenantModel::Aggregation
-                : core::TenantModel::Slicing);
+        policy = core::makePolicy(kind, platform.pqos(),
+                                  world.registry(), params,
+                                  world.model());
         fault::attachPolicy(engine, *policy, params.interval_seconds);
         if (auto *daemon = policy->daemon())
             daemon->setTenantTuningEnabled(false);
     }
 
     engine.run(0.04 * scale);
-    world.resetWindow();
+    world.resetStats();
     engine.run(0.08 * scale);
 
     std::array<double, 5> means{};

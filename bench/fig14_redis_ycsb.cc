@@ -56,20 +56,20 @@ runCase(core::PolicyKind kind, int placement, char mix, bool solo,
         params.interval_seconds = 5e-3;
         policy =
             core::makePolicy(kind, platform.pqos(), world.registry(),
-                             params, core::TenantModel::Aggregation);
+                             params, world.model());
         fault::attachPolicy(engine, *policy, params.interval_seconds);
         if (auto *daemon = policy->daemon())
             daemon->setTenantTuningEnabled(false);
     }
 
     engine.run(0.04 * scale);
-    world.resetWindow();
+    world.resetStats();
     const double window = 0.08 * scale;
     engine.run(window);
 
     RedisSample s;
-    s.ops_per_s = world.redisResponses() / window;
-    const auto hist = world.redisLatency();
+    s.ops_per_s = world.delivered() / window;
+    const auto hist = world.latency();
     s.avg_latency_s = hist.mean();
     s.p99_latency_s = hist.percentile(0.99);
     return s;

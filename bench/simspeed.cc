@@ -131,7 +131,7 @@ buildWorld(const scenarios::AggTestPmdConfig &cfg,
         policy_name == "iat" ? core::PolicyKind::Iat
                              : core::PolicyKind::Static,
         h->platform->pqos(), h->world->registry(), h->params,
-        core::TenantModel::Aggregation);
+        h->world->model());
     fault::attachPolicy(*h->engine, *h->policy,
                         h->params.interval_seconds);
     return h;

@@ -78,7 +78,7 @@ fig09RunRamp(core::PolicyKind kind, double scale, std::uint64_t seed)
     params.interval_seconds = 5e-3;
     const auto policy =
         core::makePolicy(kind, platform.pqos(), world.registry(),
-                         params, core::TenantModel::Aggregation);
+                         params, world.model());
     fault::attachPolicy(engine, *policy, params.interval_seconds);
 
     std::vector<Fig09Plateau> rows;
@@ -135,7 +135,7 @@ fig10RunCase(core::PolicyKind kind, std::uint32_t frame_bytes,
     params.interval_seconds = 5e-3;
     const auto policy =
         core::makePolicy(kind, platform.pqos(), world.registry(),
-                         params, core::TenantModel::Slicing);
+                         params, world.model());
     fault::attachPolicy(engine, *policy, params.interval_seconds);
 
     const double t1 = 0.06 * scale;
@@ -198,9 +198,9 @@ chaosRunCase(core::PolicyKind kind, const fault::FaultPlan &plan,
     if (effective.any())
         injector = std::make_unique<fault::FaultInjector>(effective);
 
-    const auto policy = core::makePolicy(
-        kind, platform.pqos(), world.registry(), params,
-        core::TenantModel::Aggregation, nullptr, hardening);
+    const auto policy =
+        core::makePolicy(kind, platform.pqos(), world.registry(),
+                         params, world.model(), nullptr, hardening);
     fault::attachPolicy(engine, *policy, params.interval_seconds,
                         injector.get());
     core::IatDaemon *daemon = policy->daemon();

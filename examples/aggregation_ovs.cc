@@ -38,7 +38,7 @@ main(int argc, char **argv)
     core::IatParams params;
     params.interval_seconds = 5e-3;
     core::IatDaemon daemon(platform.pqos(), world.registry(), params,
-                           core::TenantModel::Aggregation);
+                           world.model());
     engine.addPeriodic(params.interval_seconds,
                        [&](double now) { daemon.tick(now); }, 0.0);
 

@@ -49,8 +49,7 @@ runOnce(bool with_iat, const std::string &app, char mix,
         core::IatParams params;
         params.interval_seconds = 5e-3;
         daemon = std::make_unique<core::IatDaemon>(
-            platform.pqos(), world.registry(), params,
-            core::TenantModel::Aggregation);
+            platform.pqos(), world.registry(), params, world.model());
         daemon->setTenantTuningEnabled(false); // paper SS VI-C
         engine.addPeriodic(params.interval_seconds,
                            [&](double now) { daemon->tick(now); },
@@ -61,13 +60,13 @@ runOnce(bool with_iat, const std::string &app, char mix,
     }
 
     engine.run(0.05 * scale);
-    world.resetWindow();
+    world.resetStats();
     const double window = 0.08 * scale;
     engine.run(window);
 
     Result r;
-    r.redis_kops = world.redisResponses() / window / 1e3;
-    r.redis_p99_us = world.redisLatency().percentile(0.99) * 1e6;
+    r.redis_kops = world.delivered() / window / 1e3;
+    r.redis_p99_us = world.latency().percentile(0.99) * 1e6;
     r.pc_progress = static_cast<double>(world.pcAppProgress());
     return r;
 }

@@ -42,8 +42,7 @@ runOnce(bool with_iat, double scale)
     params.interval_seconds = 5e-3;
     if (with_iat) {
         daemon = std::make_unique<core::IatDaemon>(
-            platform.pqos(), world.registry(), params,
-            core::TenantModel::Slicing);
+            platform.pqos(), world.registry(), params, world.model());
         daemon->setDdioTuningEnabled(false); // paper footnote 3
         engine.addPeriodic(params.interval_seconds,
                            [&](double now) { daemon->tick(now); },

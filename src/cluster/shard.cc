@@ -228,8 +228,7 @@ ShardHost::ShardHost(unsigned id, unsigned num_shards,
     core::IatParams params;
     params.interval_seconds = cfg.daemon_interval;
     daemon_ = std::make_unique<core::IatDaemon>(
-        platform_.pqos(), world_->registry(), params,
-        core::TenantModel::Aggregation);
+        platform_.pqos(), world_->registry(), params, world_->model());
 
     world_->attach(engine_);
     if (num_shards >= 2 && cfg.remote_rate_pps > 0.0) {

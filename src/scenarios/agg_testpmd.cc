@@ -15,7 +15,7 @@ constexpr unsigned kNumNics = 2; // two XL710 ports (SS VI-A)
 
 AggTestPmdWorld::AggTestPmdWorld(sim::Platform &platform,
                                  const AggTestPmdConfig &cfg)
-    : platform_(platform), cfg_(cfg)
+    : World(platform), cfg_(cfg)
 {
     IAT_ASSERT(cfg_.num_containers >= 1, "need at least one tenant");
     IAT_ASSERT(2 + cfg_.num_containers <= platform.config().num_cores,
@@ -77,22 +77,20 @@ AggTestPmdWorld::AggTestPmdWorld(sim::Platform &platform,
             wl::ForwardPort{tenant_tx_[c].get(), nullptr}));
     }
 
-    pipeline_ = std::make_unique<net::PacketPipeline>(platform_);
     for (auto &nic : nics_)
-        pipeline_->addSource(nic.get());
+        pipeline_.addSource(nic.get());
     for (unsigned n = 0; n < kNumNics; ++n) {
         std::vector<net::Ring *> inputs = {&nics_[n]->rxRing()};
         for (unsigned c = n; c < cfg_.num_containers; c += kNumNics)
             inputs.push_back(tenant_tx_[c].get());
-        ovs_stages_.push_back(&pipeline_->addStage(
+        ovs_stages_.push_back(&pipeline_.addStage(
             static_cast<cache::CoreId>(n), *ovs_handlers_[n],
             std::move(inputs), "ovs" + std::to_string(n)));
     }
     for (unsigned c = 0; c < cfg_.num_containers; ++c) {
-        pipeline_->addStage(static_cast<cache::CoreId>(2 + c),
-                            *pmd_handlers_[c],
-                            {tenant_rx_[c].get()},
-                            "pmd" + std::to_string(c));
+        pipeline_.addStage(static_cast<cache::CoreId>(2 + c),
+                           *pmd_handlers_[c], {tenant_rx_[c].get()},
+                           "pmd" + std::to_string(c));
     }
 
     // Tenant records (SS IV-A): the stack plus the containers.
@@ -112,12 +110,6 @@ AggTestPmdWorld::AggTestPmdWorld(sim::Platform &platform,
         spec.initial_ways = cfg_.container_ways;
         registry_.add(spec);
     }
-}
-
-void
-AggTestPmdWorld::attach(sim::Engine &engine)
-{
-    engine.add(pipeline_.get());
 }
 
 void
@@ -151,24 +143,6 @@ AggTestPmdWorld::setFlows(std::uint64_t flows)
 }
 
 std::uint64_t
-AggTestPmdWorld::txPackets() const
-{
-    std::uint64_t total = 0;
-    for (const auto &nic : nics_)
-        total += nic->txStats().tx_packets;
-    return total;
-}
-
-std::uint64_t
-AggTestPmdWorld::rxPackets() const
-{
-    std::uint64_t total = 0;
-    for (const auto &nic : nics_)
-        total += nic->rxStats().rx_packets;
-    return total;
-}
-
-std::uint64_t
 AggTestPmdWorld::totalDrops() const
 {
     std::uint64_t total = 0;
@@ -186,8 +160,7 @@ AggTestPmdWorld::totalDrops() const
 void
 AggTestPmdWorld::resetStats()
 {
-    for (auto &nic : nics_)
-        nic->resetStats();
+    World::resetStats();
     for (auto &stage : ovs_stages_)
         stage->resetStats();
 }

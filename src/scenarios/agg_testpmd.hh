@@ -16,9 +16,7 @@
 #include <memory>
 #include <vector>
 
-#include "core/tenant.hh"
-#include "net/pipeline.hh"
-#include "sim/engine.hh"
+#include "scenarios/world.hh"
 #include "wl/handlers.hh"
 
 namespace iat::scenarios {
@@ -42,21 +40,11 @@ struct AggTestPmdConfig
 };
 
 /** Assembled world; owns every component. */
-class AggTestPmdWorld
+class AggTestPmdWorld : public World
 {
   public:
     AggTestPmdWorld(sim::Platform &platform,
                     const AggTestPmdConfig &cfg);
-
-    /** Register the pipeline with the engine. */
-    void attach(sim::Engine &engine);
-
-    /** IAT tenant records: OVS (stack) + containers. */
-    core::TenantRegistry &registry() { return registry_; }
-
-    /** The packet pipeline, for telemetry attachment; may be null
-     *  before attach(). */
-    net::PacketPipeline *pipeline() { return pipeline_.get(); }
 
     /** Change the generated frame size on both NICs (Fig 8). */
     void setFrameBytes(std::uint32_t bytes);
@@ -67,30 +55,23 @@ class AggTestPmdWorld
     /** Grow/shrink the flow population on both NICs (Fig 9 ramp). */
     void setFlows(std::uint64_t flows);
 
-    net::NicQueue &nic(unsigned i) { return *nics_[i]; }
-    unsigned nicCount() const
-    {
-        return static_cast<unsigned>(nics_.size());
-    }
-
-    /** Frames transmitted on all NICs since the last reset. */
-    std::uint64_t txPackets() const;
-
-    /** Frames received on all NICs since the last reset. */
-    std::uint64_t rxPackets() const;
-
     /** Frames lost anywhere (MAC drops, ring/pool overflow). */
     std::uint64_t totalDrops() const;
 
-    /** Clear NIC counters/latency for a measurement window. */
-    void resetStats();
+    /** Clear NIC counters/latency and the OVS stage counts. */
+    void resetStats() override;
 
     /**
      * Pause/resume the traffic driving tenant @p t (fairness solo
      * runs). Tenant 0 is the OVS stack -- pausing it stops every
      * NIC; container i (tenant i+1) maps to NIC i's generator.
      */
-    void setTenantActive(std::size_t t, bool active);
+    void setTenantActive(std::size_t t, bool active) override;
+
+    core::TenantModel model() const override
+    {
+        return core::TenantModel::Aggregation;
+    }
 
     /** OVS poll-thread stages (for IPC/CPP accounting). */
     const std::vector<net::Stage *> &ovsStages() const
@@ -107,18 +88,14 @@ class AggTestPmdWorld
     const AggTestPmdConfig &config() const { return cfg_; }
 
   private:
-    sim::Platform &platform_;
     AggTestPmdConfig cfg_;
-    core::TenantRegistry registry_;
 
-    std::vector<std::unique_ptr<net::NicQueue>> nics_;
     std::vector<std::unique_ptr<net::Ring>> tenant_rx_;
     std::vector<std::unique_ptr<net::Ring>> tenant_tx_;
     std::vector<std::unique_ptr<net::BufferPool>> tenant_pools_;
     std::shared_ptr<wl::VSwitchTables> tables_;
     std::vector<std::unique_ptr<wl::VSwitchHandler>> ovs_handlers_;
     std::vector<std::unique_ptr<wl::TestPmdHandler>> pmd_handlers_;
-    std::unique_ptr<net::PacketPipeline> pipeline_;
     std::vector<net::Stage *> ovs_stages_;
     std::vector<cache::CoreId> ovs_cores_;
 };

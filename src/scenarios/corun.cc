@@ -26,12 +26,10 @@ redisReadFraction(char mix_id)
 
 CorunWorld::CorunWorld(sim::Platform &platform,
                        const CorunConfig &cfg)
-    : platform_(platform), cfg_(cfg)
+    : World(platform), cfg_(cfg)
 {
     IAT_ASSERT(platform.config().num_cores >= 7,
                "co-run world needs seven cores");
-    pipeline_ = std::make_unique<net::PacketPipeline>(platform_);
-
     if (cfg_.net_app == CorunConfig::NetApp::Redis)
         buildRedis();
     else
@@ -106,14 +104,14 @@ CorunWorld::buildRedis()
     }
 
     for (unsigned n = 0; n < 2; ++n) {
-        pipeline_->addSource(nics_[n].get());
-        pipeline_->addStage(static_cast<cache::CoreId>(n),
-                            *ovs_handlers_[n],
-                            {&nics_[n]->rxRing(), srv_tx_[n].get()},
-                            "ovs" + std::to_string(n));
-        pipeline_->addStage(static_cast<cache::CoreId>(2 + n),
-                            *redis_handlers_[n], {srv_rx_[n].get()},
-                            "redis" + std::to_string(n));
+        pipeline_.addSource(nics_[n].get());
+        pipeline_.addStage(static_cast<cache::CoreId>(n),
+                           *ovs_handlers_[n],
+                           {&nics_[n]->rxRing(), srv_tx_[n].get()},
+                           "ovs" + std::to_string(n));
+        pipeline_.addStage(static_cast<cache::CoreId>(2 + n),
+                           *redis_handlers_[n], {srv_rx_[n].get()},
+                           "redis" + std::to_string(n));
     }
 
     // Tenant record: OVS + Redis share one three-way CAT group
@@ -147,11 +145,11 @@ CorunWorld::buildNfv()
             platform_, static_cast<cache::CoreId>(v),
             "chain" + std::to_string(v), cfg_.nfv_flows,
             wl::ForwardPort{nullptr, nics_.back().get()}));
-        pipeline_->addSource(nics_.back().get());
-        pipeline_->addStage(static_cast<cache::CoreId>(v),
-                            *nfv_handlers_[v],
-                            {&nics_[v]->rxRing()},
-                            "chain" + std::to_string(v));
+        pipeline_.addSource(nics_.back().get());
+        pipeline_.addStage(static_cast<cache::CoreId>(v),
+                           *nfv_handlers_[v],
+                           {&nics_[v]->rxRing()},
+                           "chain" + std::to_string(v));
     }
 
     core::TenantSpec net;
@@ -207,7 +205,7 @@ CorunWorld::buildNonNetworking()
 void
 CorunWorld::attach(sim::Engine &engine)
 {
-    engine.add(pipeline_.get());
+    World::attach(engine);
     if (spec_)
         engine.add(spec_.get());
     if (rocksdb_)
@@ -323,38 +321,29 @@ CorunWorld::pcAppProgress() const
     return now - pc_progress_base_;
 }
 
-LatencyHistogram
-CorunWorld::redisLatency() const
+core::TenantModel
+CorunWorld::model() const
 {
-    LatencyHistogram merged;
-    for (const auto &nic : nics_)
-        merged.merge(nic->latency());
-    return merged;
+    return cfg_.net_app == CorunConfig::NetApp::Redis
+               ? core::TenantModel::Aggregation
+               : core::TenantModel::Slicing;
 }
 
 std::uint64_t
-CorunWorld::redisResponses() const
+CorunWorld::delivered() const
 {
+    if (cfg_.net_app != CorunConfig::NetApp::Redis)
+        return txPackets();
     std::uint64_t total = 0;
     for (const auto &handler : redis_handlers_)
         total += handler->responsesSent();
     return total - redis_responses_base_;
 }
 
-std::uint64_t
-CorunWorld::nfvForwarded() const
-{
-    std::uint64_t total = 0;
-    for (const auto &nic : nics_)
-        total += nic->txStats().tx_packets;
-    return total;
-}
-
 void
-CorunWorld::resetWindow()
+CorunWorld::resetStats()
 {
-    for (auto &nic : nics_)
-        nic->resetStats();
+    World::resetStats();
     if (rocksdb_) {
         rocksdb_->resetKindStats();
         pc_progress_base_ = 0;

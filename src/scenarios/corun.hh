@@ -27,9 +27,7 @@
 #include <string>
 #include <vector>
 
-#include "core/tenant.hh"
-#include "net/pipeline.hh"
-#include "sim/engine.hh"
+#include "scenarios/world.hh"
 #include "util/rng.hh"
 #include "wl/handlers.hh"
 #include "wl/kvstore.hh"
@@ -64,8 +62,9 @@ struct CorunConfig
 };
 
 /** Assembled co-run world; tenant 0 = networking group, 1 = PC app,
- *  2 = BE X-Mem 1MB, 3 = BE X-Mem 10MB. */
-class CorunWorld
+ *  2 = BE X-Mem 1MB, 3 = BE X-Mem 10MB. The NICs are the two
+ *  generator ports (Redis) or the four VFs (NFV). */
+class CorunWorld : public World
 {
   public:
     static constexpr std::size_t kTenantNet = 0;
@@ -75,13 +74,7 @@ class CorunWorld
 
     CorunWorld(sim::Platform &platform, const CorunConfig &cfg);
 
-    void attach(sim::Engine &engine);
-
-    core::TenantRegistry &registry() { return registry_; }
-
-    /** The packet pipeline, for telemetry attachment; may be null
-     *  before attach(). */
-    net::PacketPipeline *pipeline() { return pipeline_.get(); }
+    void attach(sim::Engine &engine) override;
 
     /**
      * Baseline placement: networking group on ways 0-2, the three
@@ -108,7 +101,11 @@ class CorunWorld
      * 0 = the networking group's NICs, 1 = the PC app, 2/3 = the BE
      * X-Mems.
      */
-    void setTenantActive(std::size_t t, bool active);
+    void setTenantActive(std::size_t t, bool active) override;
+
+    /** Redis sits behind an OVS-style switch (aggregation); the NFV
+     *  chains own one VF each (slicing). */
+    core::TenantModel model() const override;
 
     /// @name Measurement accessors
     /// @{
@@ -120,17 +117,12 @@ class CorunWorld
     /** RocksDB model, when pc_app == "rocksdb"; else nullptr. */
     wl::KvStoreWorkload *rocksdb() { return rocksdb_.get(); }
 
-    /** Merged client-observed latency histogram (Redis mode). */
-    LatencyHistogram redisLatency() const;
-
-    /** Responses transmitted since the last reset (Redis mode). */
-    std::uint64_t redisResponses() const;
-
-    /** NFV frames forwarded since the last reset (NFV mode). */
-    std::uint64_t nfvForwarded() const;
+    /** Responses sent since the last reset (Redis mode); frames
+     *  forwarded (NFV mode). */
+    std::uint64_t delivered() const override;
 
     /** Clear the measurement window across all components. */
-    void resetWindow();
+    void resetStats() override;
     /// @}
 
     const CorunConfig &config() const { return cfg_; }
@@ -140,11 +132,8 @@ class CorunWorld
     void buildNfv();
     void buildNonNetworking();
 
-    sim::Platform &platform_;
     CorunConfig cfg_;
-    core::TenantRegistry registry_;
 
-    std::vector<std::unique_ptr<net::NicQueue>> nics_;
     std::vector<std::unique_ptr<net::Ring>> srv_rx_;
     std::vector<std::unique_ptr<net::Ring>> srv_tx_;
     std::vector<std::unique_ptr<net::BufferPool>> srv_pools_;
@@ -153,7 +142,6 @@ class CorunWorld
     std::vector<std::unique_ptr<wl::VSwitchHandler>> ovs_handlers_;
     std::vector<std::unique_ptr<wl::RedisHandler>> redis_handlers_;
     std::vector<std::unique_ptr<wl::NfChainHandler>> nfv_handlers_;
-    std::unique_ptr<net::PacketPipeline> pipeline_;
 
     std::unique_ptr<wl::SpecWorkload> spec_;
     std::unique_ptr<wl::KvStoreWorkload> rocksdb_;

@@ -11,7 +11,7 @@ namespace iat::scenarios {
 
 SlicingPmdXmemWorld::SlicingPmdXmemWorld(
     sim::Platform &platform, const SlicingPmdXmemConfig &cfg)
-    : platform_(platform), cfg_(cfg)
+    : World(platform), cfg_(cfg)
 {
     IAT_ASSERT(platform.config().num_cores >= 5,
                "world needs five cores");
@@ -22,20 +22,19 @@ SlicingPmdXmemWorld::SlicingPmdXmemWorld(
                            ? cfg_.rate_pps
                            : net::lineRatePps40G(cfg_.frame_bytes);
 
-    pipeline_ = std::make_unique<net::PacketPipeline>(platform_);
     for (unsigned i = 0; i < 2; ++i) {
-        vfs_.push_back(std::make_unique<net::NicQueue>(
+        nics_.push_back(std::make_unique<net::NicQueue>(
             platform_, static_cast<cache::DeviceId>(i),
             "vf" + std::to_string(i), traffic, cfg_.ring_entries,
             cfg_.pool_factor, cfg_.seed + i));
         pmd_handlers_.push_back(std::make_unique<wl::TestPmdHandler>(
             platform_, static_cast<cache::CoreId>(i),
-            wl::ForwardPort{nullptr, vfs_.back().get()}));
-        pipeline_->addSource(vfs_.back().get());
-        pipeline_->addStage(static_cast<cache::CoreId>(i),
-                            *pmd_handlers_.back(),
-                            {&vfs_.back()->rxRing()},
-                            "pmd" + std::to_string(i));
+            wl::ForwardPort{nullptr, nics_.back().get()}));
+        pipeline_.addSource(nics_.back().get());
+        pipeline_.addStage(static_cast<cache::CoreId>(i),
+                           *pmd_handlers_.back(),
+                           {&nics_.back()->rxRing()},
+                           "pmd" + std::to_string(i));
     }
 
     // X-Mem containers 2 (BE), 3 (BE), 4 (PC) on cores 2..4.
@@ -73,7 +72,7 @@ SlicingPmdXmemWorld::SlicingPmdXmemWorld(
 void
 SlicingPmdXmemWorld::attach(sim::Engine &engine)
 {
-    engine.add(pipeline_.get());
+    World::attach(engine);
     for (auto &x : xmems_)
         engine.add(x.get());
 }
@@ -82,7 +81,7 @@ void
 SlicingPmdXmemWorld::setFrameBytes(std::uint32_t bytes)
 {
     cfg_.frame_bytes = bytes;
-    for (auto &vf : vfs_) {
+    for (auto &vf : nics_) {
         vf->setFrameBytes(bytes);
         if (cfg_.rate_pps <= 0.0)
             vf->setRate(net::lineRatePps40G(bytes));
@@ -93,7 +92,7 @@ void
 SlicingPmdXmemWorld::setTenantActive(std::size_t t, bool active)
 {
     if (t == kTenantPmd) {
-        for (auto &vf : vfs_)
+        for (auto &vf : nics_)
             vf->setActive(active);
         return;
     }

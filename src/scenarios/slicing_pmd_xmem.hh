@@ -16,9 +16,7 @@
 #include <memory>
 #include <vector>
 
-#include "core/tenant.hh"
-#include "net/pipeline.hh"
-#include "sim/engine.hh"
+#include "scenarios/world.hh"
 #include "wl/handlers.hh"
 #include "wl/xmem.hh"
 
@@ -36,8 +34,9 @@ struct SlicingPmdXmemConfig
     std::uint64_t seed = 1;
 };
 
-/** Assembled world; tenant indices: 0=pmd pair, 1..3=xmem 2..4. */
-class SlicingPmdXmemWorld
+/** Assembled world; tenant indices: 0=pmd pair, 1..3=xmem 2..4.
+ *  NIC i is the VF of physical port i. */
+class SlicingPmdXmemWorld : public World
 {
   public:
     static constexpr std::size_t kTenantPmd = 0;
@@ -48,13 +47,7 @@ class SlicingPmdXmemWorld
     SlicingPmdXmemWorld(sim::Platform &platform,
                         const SlicingPmdXmemConfig &cfg);
 
-    void attach(sim::Engine &engine);
-
-    core::TenantRegistry &registry() { return registry_; }
-
-    /** The packet pipeline, for telemetry attachment; may be null
-     *  before attach(). */
-    net::PacketPipeline *pipeline() { return pipeline_.get(); }
+    void attach(sim::Engine &engine) override;
 
     /** X-Mem of container 2/3/4 via index 0/1/2. */
     wl::XMemWorkload &xmem(unsigned i) { return *xmems_[i]; }
@@ -71,25 +64,21 @@ class SlicingPmdXmemWorld
      * tenant 0 pauses both VF generators, tenants 1-3 pause the
      * corresponding X-Mem.
      */
-    void setTenantActive(std::size_t t, bool active);
+    void setTenantActive(std::size_t t, bool active) override;
 
-    net::NicQueue &vf(unsigned i) { return *vfs_[i]; }
-    unsigned vfCount() const
+    core::TenantModel model() const override
     {
-        return static_cast<unsigned>(vfs_.size());
+        return core::TenantModel::Slicing;
     }
+
     void setFrameBytes(std::uint32_t bytes);
 
     const SlicingPmdXmemConfig &config() const { return cfg_; }
 
   private:
-    sim::Platform &platform_;
     SlicingPmdXmemConfig cfg_;
-    core::TenantRegistry registry_;
 
-    std::vector<std::unique_ptr<net::NicQueue>> vfs_;
     std::vector<std::unique_ptr<wl::TestPmdHandler>> pmd_handlers_;
-    std::unique_ptr<net::PacketPipeline> pipeline_;
     std::vector<std::unique_ptr<wl::XMemWorkload>> xmems_;
 };
 

@@ -1,12 +1,17 @@
 /**
  * @file
  * Tests for the assembled experiment worlds: construction, tenant
- * records, conservation, placement helpers and mid-run knobs.
+ * records, conservation, placement helpers, mid-run knobs, and the
+ * World contract the agg, slicing and co-run worlds share.
  */
+
+#include <memory>
+#include <string>
 
 #include <gtest/gtest.h>
 
 #include "core/daemon.hh"
+#include "fault/injector.hh"
 #include "scenarios/agg_testpmd.hh"
 #include "scenarios/common.hh"
 #include "scenarios/corun.hh"
@@ -171,11 +176,11 @@ TEST(CorunWorld, RedisModeTenantsAndTraffic)
     ASSERT_EQ(world.registry().size(), 4u);
     EXPECT_TRUE(world.registry()[0].is_io);
     engine.run(0.02);
-    world.resetWindow();
+    world.resetStats();
     engine.run(0.02);
-    EXPECT_GT(world.redisResponses(), 1000u);
+    EXPECT_GT(world.delivered(), 1000u);
     EXPECT_GT(world.pcAppProgress(), 100'000u);
-    EXPECT_GT(world.redisLatency().count(), 1000u);
+    EXPECT_GT(world.latency().count(), 1000u);
     EXPECT_EQ(world.rocksdb(), nullptr);
 }
 
@@ -190,7 +195,7 @@ TEST(CorunWorld, RocksdbPcApp)
     world.applyDeterministicPlacement(0);
     ASSERT_NE(world.rocksdb(), nullptr);
     engine.run(0.01);
-    world.resetWindow();
+    world.resetStats();
     engine.run(0.01);
     EXPECT_GT(world.pcAppProgress(), 100u);
     EXPECT_GT(world.rocksdb()->opKindCount(wl::YcsbOp::Read), 0u);
@@ -207,9 +212,11 @@ TEST(CorunWorld, NfvModeForwardsFrames)
     world.attach(engine);
     world.applyDeterministicPlacement(0);
     engine.run(0.01);
-    world.resetWindow();
+    world.resetStats();
     engine.run(0.01);
-    EXPECT_GT(world.nfvForwarded(), 10'000u);
+    EXPECT_GT(world.txPackets(), 10'000u);
+    EXPECT_EQ(world.nicCount(), 4u); // one VF per chain
+    EXPECT_EQ(world.model(), core::TenantModel::Slicing);
 }
 
 TEST(CorunWorld, PlacementVariantsTargetDdioWays)
@@ -245,11 +252,107 @@ TEST(CorunWorld, SoloTogglesSilenceTheRest)
     world.setNetworkingActive(false);
     world.setBackgroundActive(false);
     engine.run(0.01);
-    world.resetWindow();
+    world.resetStats();
     engine.run(0.01);
-    EXPECT_EQ(world.redisResponses(), 0u);
+    EXPECT_EQ(world.delivered(), 0u);
     EXPECT_GT(world.pcAppProgress(), 100'000u);
 }
+
+TEST(CorunWorld, NicsTakeRingStallFaults)
+{
+    sim::Platform platform(worldConfig());
+    sim::Engine engine(platform);
+    CorunWorld world(platform, {});
+    world.attach(engine);
+    world.applyDeterministicPlacement(0);
+
+    fault::FaultPlan plan;
+    plan.seed = 1;
+    plan.ring_stall_period_seconds = 0.005;
+    plan.ring_stall_seconds = 0.002;
+    fault::FaultInjector injector(plan);
+    for (unsigned i = 0; i < world.nicCount(); ++i)
+        injector.addNic(world.nic(i));
+    injector.arm(engine, platform);
+    engine.run(0.03);
+
+    EXPECT_GT(injector.ringStalls(), 0u);
+    std::uint64_t drops = 0;
+    for (unsigned i = 0; i < world.nicCount(); ++i)
+        drops += world.nic(i).rxStats().totalDrops();
+    EXPECT_GT(drops, 0u);
+}
+
+/** A world built by scenario name and driven only through World. */
+class WorldContract : public ::testing::TestWithParam<std::string>
+{
+  protected:
+    WorldContract() : platform_(worldConfig()), engine_(platform_)
+    {
+        const std::string &name = GetParam();
+        if (name == "agg") {
+            world_ = std::make_unique<AggTestPmdWorld>(
+                platform_, AggTestPmdConfig{});
+        } else if (name == "slicing") {
+            world_ = std::make_unique<SlicingPmdXmemWorld>(
+                platform_, SlicingPmdXmemConfig{});
+        } else {
+            world_ = std::make_unique<CorunWorld>(platform_,
+                                                  CorunConfig{});
+        }
+        world_->attach(engine_);
+        applyStaticLayout(platform_.pqos(), world_->registry());
+    }
+
+    sim::Platform platform_;
+    sim::Engine engine_;
+    std::unique_ptr<World> world_;
+};
+
+TEST_P(WorldContract, ExposesTwoNicsAndAPipeline)
+{
+    EXPECT_EQ(world_->nicCount(), 2u);
+    EXPECT_NE(world_->pipeline(), nullptr);
+}
+
+TEST_P(WorldContract, WindowCountsUntilResetStats)
+{
+    engine_.run(0.01);
+    EXPECT_GT(world_->txPackets(), 0u);
+    EXPECT_GT(world_->delivered(), 0u);
+    EXPECT_GT(world_->latency().count(), 0u);
+
+    world_->resetStats();
+    EXPECT_EQ(world_->txPackets(), 0u);
+    EXPECT_EQ(world_->rxPackets(), 0u);
+    EXPECT_EQ(world_->delivered(), 0u);
+    EXPECT_EQ(world_->latency().count(), 0u);
+}
+
+TEST_P(WorldContract, PausingTenantZeroSilencesTheNics)
+{
+    world_->setTenantActive(0, false);
+    engine_.run(0.005);
+    EXPECT_EQ(world_->rxPackets(), 0u);
+
+    world_->setTenantActive(0, true);
+    engine_.run(0.005);
+    EXPECT_GT(world_->rxPackets(), 0u);
+}
+
+TEST_P(WorldContract, ModelMatchesTheScenario)
+{
+    EXPECT_EQ(world_->model(), GetParam() == "slicing"
+                                   ? core::TenantModel::Slicing
+                                   : core::TenantModel::Aggregation);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    AllWorlds, WorldContract,
+    ::testing::Values("agg", "slicing", "corun"),
+    [](const ::testing::TestParamInfo<std::string> &scenario) {
+        return scenario.param;
+    });
 
 TEST(CorunWorldDeath, RejectsBadPlacementVariant)
 {

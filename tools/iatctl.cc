@@ -139,42 +139,33 @@ cmdRun(const CliArgs &args)
     }
 
     // Assemble the world.
-    std::unique_ptr<scenarios::AggTestPmdWorld> agg;
-    std::unique_ptr<scenarios::SlicingPmdXmemWorld> slicing;
-    std::unique_ptr<scenarios::CorunWorld> corun;
+    std::unique_ptr<scenarios::World> world;
     core::TenantRegistry file_registry;
-    core::TenantRegistry *registry = nullptr;
-    core::TenantModel model = core::TenantModel::Slicing;
+    core::TenantRegistry *registry = &file_registry;
 
     if (!tenant_file.empty()) {
         file_registry.loadFromFile(tenant_file);
-        registry = &file_registry;
     } else if (scenario == "agg") {
         scenarios::AggTestPmdConfig cfg;
         cfg.frame_bytes = frame;
-        agg = std::make_unique<scenarios::AggTestPmdWorld>(platform,
-                                                           cfg);
-        agg->attach(engine);
-        registry = &agg->registry();
-        model = core::TenantModel::Aggregation;
+        world = std::make_unique<scenarios::AggTestPmdWorld>(platform,
+                                                             cfg);
     } else if (scenario == "slicing") {
         scenarios::SlicingPmdXmemConfig cfg;
         cfg.frame_bytes = frame;
-        slicing = std::make_unique<scenarios::SlicingPmdXmemWorld>(
+        world = std::make_unique<scenarios::SlicingPmdXmemWorld>(
             platform, cfg);
-        slicing->attach(engine);
-        registry = &slicing->registry();
     } else if (scenario == "corun") {
         scenarios::CorunConfig cfg;
         cfg.pc_app = args.getString("app", "mcf");
-        corun = std::make_unique<scenarios::CorunWorld>(platform,
-                                                        cfg);
-        corun->attach(engine);
-        registry = &corun->registry();
-        model = core::TenantModel::Aggregation;
+        world = std::make_unique<scenarios::CorunWorld>(platform, cfg);
     } else {
         fatal("unknown scenario '%s' (agg|slicing|corun)",
               scenario.c_str());
+    }
+    if (world) {
+        world->attach(engine);
+        registry = &world->registry();
     }
 
     // Attach the policy.
@@ -184,7 +175,9 @@ cmdRun(const CliArgs &args)
               core::policyKindLabels().c_str());
     }
     const auto policy =
-        core::makePolicy(kind, platform.pqos(), *registry, params, model,
+        core::makePolicy(kind, platform.pqos(), *registry, params,
+                         world ? world->model()
+                               : core::TenantModel::Slicing,
                          telemetry.get(), hardening);
     fault::attachPolicy(engine, *policy, params.interval_seconds,
                         injector.get());
@@ -193,30 +186,16 @@ cmdRun(const CliArgs &args)
     // Arm faults AFTER the policy attach so the daemon's t=0 setup
     // tick runs before any MSR hook installs (the arm() contract).
     if (injector) {
-        if (agg) {
-            for (unsigned i = 0; i < agg->nicCount(); ++i)
-                injector->addNic(agg->nic(i));
-        } else if (slicing) {
-            for (unsigned i = 0; i < slicing->vfCount(); ++i)
-                injector->addNic(slicing->vf(i));
-        }
-        // (corun keeps its NICs private; MSR, poll and churn faults
-        // still apply there.)
+        for (unsigned i = 0; world && i < world->nicCount(); ++i)
+            injector->addNic(world->nic(i));
         injector->setRegistry(registry);
         injector->arm(engine, platform);
     }
 
-    // Net-layer telemetry, from whichever world owns a pipeline.
+    // Net-layer telemetry from the world's pipeline.
     if (telemetry) {
-        net::PacketPipeline *pipeline = nullptr;
-        if (agg)
-            pipeline = agg->pipeline();
-        else if (slicing)
-            pipeline = slicing->pipeline();
-        else if (corun)
-            pipeline = corun->pipeline();
-        if (pipeline)
-            pipeline->setTelemetry(telemetry.get());
+        if (world)
+            world->pipeline()->setTelemetry(telemetry.get());
         // Platform gauges + sampler go in last so the first sample
         // sees every registered metric; defaults to the daemon poll
         // interval.
@@ -234,17 +213,20 @@ cmdRun(const CliArgs &args)
         });
     }
 
-    // Per-interval report.
-    rdt::DdioCounters prev = platform.pqos().ddioPollExact();
+    // Per-interval report. DDIO counts come from the model, not the
+    // MSR bus: the injector's read faults would wrap the deltas and
+    // draw from the Rng the run itself uses.
+    auto prev = sim::PlatformSnapshot::capture(platform);
     engine.addPeriodic(seconds / 10.0, [&](double now) {
-        const auto cur = platform.pqos().ddioPollExact();
+        const auto cur = sim::PlatformSnapshot::capture(platform);
+        const auto delta = cur.since(prev);
         const double dt = seconds / 10.0;
         std::printf("t=%6.1fms  ddio_ways=%u  hit=%8.2fM/s  "
                     "miss=%8.2fM/s",
                     now * 1e3,
                     platform.pqos().ddioGetWays().count(),
-                    (cur.hits - prev.hits) / dt / 1e6,
-                    (cur.misses - prev.misses) / dt / 1e6);
+                    delta.ddio_hits / dt / 1e6,
+                    delta.ddio_misses / dt / 1e6);
         if (daemon)
             std::printf("  state=%s", toString(daemon->state()));
         std::printf("\n");
