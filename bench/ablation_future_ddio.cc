@@ -52,38 +52,26 @@ runSplitCase(std::uint64_t header_bytes, double scale,
         world.nic(n).setDdioHeaderSplit(header_bytes);
 
     engine.run(0.05 * scale);
-    world.resetStats();
-    const auto ddio0 = platform.pqos().ddioPollExact();
-    const auto &dram = platform.dram().counters();
-    const auto dram0 =
-        dram.totalReadBytes() + dram.totalWriteBytes();
-    std::uint64_t cyc0 = 0, pkts0 = 0;
-    for (const auto core : world.ovsCores())
-        cyc0 += platform.cyclesElapsed(core);
-    for (const auto *stage : world.ovsStages())
-        pkts0 += stage->packetsProcessed();
-
+    world.resetStats(); // zeroes the OVS stages' packet counts
+    const auto before = sim::PlatformSnapshot::capture(platform);
     const double window = 0.04 * scale;
     engine.run(window);
-
-    const auto ddio1 = platform.pqos().ddioPollExact();
-    const auto dram1 =
-        dram.totalReadBytes() + dram.totalWriteBytes();
-    std::uint64_t cyc1 = 0, pkts1 = 0;
-    for (const auto core : world.ovsCores())
-        cyc1 += platform.cyclesElapsed(core);
+    const auto delta =
+        sim::PlatformSnapshot::capture(platform).since(before);
+    const auto ovs = delta.sumCores(world.ovsCores());
+    std::uint64_t pkts = 0;
     for (const auto *stage : world.ovsStages())
-        pkts1 += stage->packetsProcessed();
+        pkts += stage->packetsProcessed();
 
     SplitRow row;
     row.tx_mpps = world.txPackets() / window / 1e6;
-    row.dram_gbps = (dram1 - dram0) / window / 1e9;
-    row.ddio_miss_mps =
-        (ddio1.misses - ddio0.misses) / window / 1e6;
-    row.ovs_cpp = pkts1 > pkts0
-                      ? static_cast<double>(cyc1 - cyc0) /
-                            static_cast<double>(pkts1 - pkts0)
-                      : 0.0;
+    row.dram_gbps =
+        (delta.dram_read_bytes + delta.dram_write_bytes) / window /
+        1e9;
+    row.ddio_miss_mps = delta.ddio_misses / window / 1e6;
+    row.ovs_cpp = pkts > 0 ? static_cast<double>(ovs.cycles) /
+                                 static_cast<double>(pkts)
+                           : 0.0;
     return row;
 }
 

@@ -45,17 +45,22 @@ runCase(bool adaptive, double scale, std::uint64_t seed)
     core::IatParams params;
     params.interval_seconds = 5e-3;
     params.adaptive_io_step = adaptive;
-    core::IatDaemon daemon(platform.pqos(), world.registry(),
-                           params, world.model());
+    const auto policy =
+        core::makePolicy(core::PolicyKind::Iat, platform.pqos(),
+                         world.registry(), params, world.model());
+    fault::attachPolicy(engine, *policy, params.interval_seconds);
+    const core::IatDaemon &daemon = *policy->daemon();
 
+    // Convergence bookkeeping: registered right after the tick, so at
+    // each interval it fires after the daemon (equal-time hooks fire
+    // in registration order) and sees that tick's DDIO ways.
     Row row;
     unsigned last_change = 0;
     unsigned interval = 0;
     unsigned prev_ways = 2;
     engine.addPeriodic(
         params.interval_seconds,
-        [&](double now) {
-            daemon.tick(now);
+        [&](double) {
             ++interval;
             if (daemon.ddioWays() != prev_ways) {
                 prev_ways = daemon.ddioWays();
@@ -64,19 +69,20 @@ runCase(bool adaptive, double scale, std::uint64_t seed)
         },
         0.0);
 
-    const auto &dram = platform.dram().counters();
+    // The transient is the whole cold start, so its DRAM bytes are
+    // the cumulative counters at its end.
     engine.run(0.08 * scale);
+    const auto transient = sim::PlatformSnapshot::capture(platform);
     row.convergence_intervals = last_change;
     row.transient_dram_mb =
-        (dram.totalReadBytes() + dram.totalWriteBytes()) / 1e6;
+        (transient.dram_read_bytes + transient.dram_write_bytes) / 1e6;
     row.final_ways = daemon.ddioWays();
 
-    const auto ddio0 = platform.pqos().ddioPollExact();
     const double window = 0.03 * scale;
     engine.run(window);
-    const auto ddio1 = platform.pqos().ddioPollExact();
-    row.steady_miss_mps =
-        (ddio1.misses - ddio0.misses) / window / 1e6;
+    const auto steady =
+        sim::PlatformSnapshot::capture(platform).since(transient);
+    row.steady_miss_mps = steady.ddio_misses / window / 1e6;
     return row;
 }
 

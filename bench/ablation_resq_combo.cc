@@ -54,21 +54,18 @@ runCase(bool with_iat, std::uint32_t ring_entries, double scale,
 
     engine.run(0.06 * scale);
     world.resetStats();
-    const auto ddio0 = platform.pqos().ddioPollExact();
-    const auto &dram = platform.dram().counters();
-    const auto dram0 =
-        dram.totalReadBytes() + dram.totalWriteBytes();
+    const auto before = sim::PlatformSnapshot::capture(platform);
     const double window = 0.04 * scale;
     engine.run(window);
-    const auto ddio1 = platform.pqos().ddioPollExact();
-    const auto dram1 =
-        dram.totalReadBytes() + dram.totalWriteBytes();
+    const auto delta =
+        sim::PlatformSnapshot::capture(platform).since(before);
 
     Row row;
     row.tx_mpps = world.txPackets() / window / 1e6;
-    row.dram_gbps = (dram1 - dram0) / window / 1e9;
-    row.ddio_miss_mps =
-        (ddio1.misses - ddio0.misses) / window / 1e6;
+    row.dram_gbps =
+        (delta.dram_read_bytes + delta.dram_write_bytes) / window /
+        1e9;
+    row.ddio_miss_mps = delta.ddio_misses / window / 1e6;
     row.ddio_ways = platform.pqos().ddioGetWays().count();
     return row;
 }

@@ -103,33 +103,6 @@ measuredTenants(const core::TenantRegistry &registry)
     return out;
 }
 
-struct CoreCounters
-{
-    std::uint64_t inst = 0;
-    std::uint64_t cyc = 0;
-};
-
-CoreCounters
-tally(const sim::Platform &platform, const core::TenantSpec &spec)
-{
-    CoreCounters c;
-    for (const auto core : spec.cores) {
-        c.inst += platform.instructionsRetired(core);
-        c.cyc += platform.cyclesElapsed(core);
-    }
-    return c;
-}
-
-double
-ipcDelta(const CoreCounters &before, const CoreCounters &after)
-{
-    const auto cyc = after.cyc - before.cyc;
-    if (cyc == 0)
-        return 0.0;
-    return static_cast<double>(after.inst - before.inst) /
-           static_cast<double>(cyc);
-}
-
 /** One solo reference: @p tenant alone on the full LLC. */
 double
 soloIpc(const std::string &scenario, std::size_t tenant,
@@ -155,10 +128,11 @@ soloIpc(const std::string &scenario, std::size_t tenant,
     }
 
     engine.run(settle);
-    const auto before = tally(platform, registry[tenant]);
+    const auto before = sim::PlatformSnapshot::capture(platform);
     engine.run(window);
-    const auto after = tally(platform, registry[tenant]);
-    return ipcDelta(before, after);
+    return ipc(sim::PlatformSnapshot::capture(platform)
+                   .since(before)
+                   .sumCores(registry[tenant].cores));
 }
 
 } // namespace
@@ -214,14 +188,12 @@ bakeoffRunCase(core::PolicyKind kind, const std::string &scenario,
 
     engine.run(settle);
     world->resetStats();
-    std::vector<CoreCounters> before;
-    for (const auto t : measured)
-        before.push_back(tally(platform, registry[t]));
+    const auto before = sim::PlatformSnapshot::capture(platform);
     engine.run(window);
-    for (std::size_t i = 0; i < measured.size(); ++i) {
-        r.run_ipc.push_back(ipcDelta(
-            before[i], tally(platform, registry[measured[i]])));
-    }
+    const auto delta =
+        sim::PlatformSnapshot::capture(platform).since(before);
+    for (const auto t : measured)
+        r.run_ipc.push_back(ipc(delta.sumCores(registry[t].cores)));
     r.tput_mps =
         static_cast<double>(world->delivered()) / window / 1e6;
     r.p99_us = world->latency().percentile(0.99) * 1e6;

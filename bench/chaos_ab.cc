@@ -5,8 +5,8 @@
  * Three runs of the Fig 9 agg_testpmd ramp under the full IAT
  * daemon:
  *
- *   fault-free        no injector at all -- the reference row, bit-
- *                     identical to a plain fig09 ramp;
+ *   fault-free        no injector at all -- the reference row, the
+ *                     fig09 ramp itself (the same ramp body);
  *   chaos hardened    the reference fault plan (counter wraparound,
  *                     sampling noise, write rejection, dropped polls,
  *                     link flaps, ring stalls, tenant churn) against

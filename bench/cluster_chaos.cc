@@ -72,7 +72,6 @@ runCase(bool faults, cluster::PlacePolicy policy,
     cfg.scheduler.margin = 10.0;
     cfg.scheduler.dead_after_epochs = 6;
     cfg.scheduler.degraded_after_epochs = 3;
-    cfg.health.dead_after_epochs = 6;
     cfg.shard.remote_rate_pps = 0.5e6;
     cfg.shard.seed = seed;
     if (faults) {

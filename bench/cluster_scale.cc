@@ -50,7 +50,6 @@ makeConfig(const CliArgs &args)
         cfg.scheduler.policy = cluster::PlacePolicy::Failover;
         cfg.scheduler.dead_after_epochs = 6;
         cfg.scheduler.degraded_after_epochs = 3;
-        cfg.health.dead_after_epochs = 6;
         cfg.fault.crash_host = 1;
         cfg.fault.crash_epoch = 16;
         cfg.fault.crash_recovery = 60;

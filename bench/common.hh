@@ -29,6 +29,7 @@
 #include "obs/telemetry.hh"
 #include "scenarios/common.hh"
 #include "sim/engine.hh"
+#include "sim/stats_report.hh"
 #include "sim/telemetry.hh"
 #include "util/cli.hh"
 #include "util/table.hh"
@@ -50,6 +51,18 @@ figureLabel(core::PolicyKind kind)
     if (kind == core::PolicyKind::Lfoc)
         return "LFOC";
     return core::toString(kind);
+}
+
+/**
+ * IPC of a measurement window's cores: the row sumCores() returns
+ * from a PlatformSnapshot::since() delta. 0 when no cycle elapsed.
+ */
+inline double
+ipc(const sim::PlatformSnapshot::CoreRow &row)
+{
+    return row.cycles ? static_cast<double>(row.instructions) /
+                            static_cast<double>(row.cycles)
+                      : 0.0;
 }
 
 /**

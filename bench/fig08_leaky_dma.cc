@@ -58,49 +58,28 @@ runCase(core::PolicyKind kind, std::uint32_t frame_bytes,
     fault::attachPolicy(engine, *policy, params.interval_seconds);
 
     engine.run(0.06 * scale); // settle (daemon ramps DDIO here)
-    world.resetStats();
+    world.resetStats(); // zeroes the OVS stages' packet counts
 
-    const auto ddio0 = platform.pqos().ddioPollExact();
-    const auto &dram = platform.dram().counters();
-    const auto dram0 =
-        dram.totalReadBytes() + dram.totalWriteBytes();
-    std::uint64_t inst0 = 0, cyc0 = 0;
-    for (const auto core : world.ovsCores()) {
-        inst0 += platform.instructionsRetired(core);
-        cyc0 += platform.cyclesElapsed(core);
-    }
-    std::uint64_t pkts0 = 0;
-    for (const auto *stage : world.ovsStages())
-        pkts0 += stage->packetsProcessed();
-
+    const auto before = sim::PlatformSnapshot::capture(platform);
     const double window = 0.04 * scale;
     engine.run(window);
-
-    const auto ddio1 = platform.pqos().ddioPollExact();
-    const auto dram1 =
-        dram.totalReadBytes() + dram.totalWriteBytes();
-    std::uint64_t inst1 = 0, cyc1 = 0;
-    for (const auto core : world.ovsCores()) {
-        inst1 += platform.instructionsRetired(core);
-        cyc1 += platform.cyclesElapsed(core);
-    }
-    std::uint64_t pkts1 = 0;
+    const auto delta =
+        sim::PlatformSnapshot::capture(platform).since(before);
+    const auto ovs = delta.sumCores(world.ovsCores());
+    std::uint64_t pkts = 0;
     for (const auto *stage : world.ovsStages())
-        pkts1 += stage->packetsProcessed();
+        pkts += stage->packetsProcessed();
 
     Row row;
-    row.ddio_hit_mps = (ddio1.hits - ddio0.hits) / window / 1e6;
-    row.ddio_miss_mps =
-        (ddio1.misses - ddio0.misses) / window / 1e6;
-    row.dram_gbps = (dram1 - dram0) / window / 1e9;
-    row.ovs_ipc = cyc1 > cyc0
-                      ? static_cast<double>(inst1 - inst0) /
-                            static_cast<double>(cyc1 - cyc0)
-                      : 0.0;
-    row.ovs_cpp = pkts1 > pkts0
-                      ? static_cast<double>(cyc1 - cyc0) /
-                            static_cast<double>(pkts1 - pkts0)
-                      : 0.0;
+    row.ddio_hit_mps = delta.ddio_hits / window / 1e6;
+    row.ddio_miss_mps = delta.ddio_misses / window / 1e6;
+    row.dram_gbps =
+        (delta.dram_read_bytes + delta.dram_write_bytes) / window /
+        1e9;
+    row.ovs_ipc = bench::ipc(ovs);
+    row.ovs_cpp = pkts > 0 ? static_cast<double>(ovs.cycles) /
+                                 static_cast<double>(pkts)
+                           : 0.0;
     row.ddio_ways = platform.pqos().ddioGetWays().count();
     return row;
 }

@@ -14,8 +14,8 @@
  * degrade with flow count, as the paper notes).
  *
  * Thin wrapper: the ramp body lives in bench/sweeps.cc
- * (fig09RunRamp) so iatexp can run both policies concurrently from
- * experiments/fig09_flow_count.exp.
+ * (chaosRunCase, run here with an empty fault plan) so iatexp can run
+ * both policies concurrently from experiments/fig09_flow_count.exp.
  */
 
 #include <cstdio>
@@ -38,8 +38,9 @@ main(int argc, char **argv)
 
     for (const auto policy :
          {core::PolicyKind::Static, core::PolicyKind::Iat}) {
-        const auto rows = bench::fig09RunRamp(policy, scale, seed);
-        for (const auto &row : rows) {
+        const auto run = bench::chaosRunCase(
+            policy, fault::FaultPlan{}, true, scale, seed);
+        for (const auto &row : run.plateaus) {
             table.addRow({std::to_string(row.flows),
                           toString(policy),
                           TablePrinter::num(row.ovs_llc_miss_mps, 2),

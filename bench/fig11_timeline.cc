@@ -36,19 +36,20 @@ main(int argc, char **argv)
     scenarios::SlicingPmdXmemWorld world(platform, cfg);
     world.attach(engine);
 
-    core::IatParams params;
-    params.interval_seconds = 5e-3;
-    core::IatDaemon daemon(platform.pqos(), world.registry(), params,
-                           world.model());
-    daemon.setDdioTuningEnabled(false); // paper footnote 3
-    engine.addPeriodic(params.interval_seconds,
-                       [&](double now) { daemon.tick(now); }, 0.0);
-
     // --trace gives this figure as an interactive Perfetto timeline;
     // --metrics exports the same series the table prints.
     auto telemetry = obs::makeTelemetry(args);
+
+    core::IatParams params;
+    params.interval_seconds = 5e-3;
+    // IAT-noddio: the paper's footnote 3.
+    const auto policy = core::makePolicy(
+        core::PolicyKind::IatNoDdio, platform.pqos(), world.registry(),
+        params, world.model(), telemetry.get());
+    fault::attachPolicy(engine, *policy, params.interval_seconds);
+    const core::IatDaemon &daemon = *policy->daemon();
+
     if (telemetry) {
-        daemon.setTelemetry(telemetry.get());
         engine.attachTelemetry(telemetry.get());
         world.pipeline()->setTelemetry(telemetry.get());
         sim::installPlatformSampler(engine, platform, *telemetry,

@@ -59,63 +59,6 @@ fig09FlowPlateaus()
     return plateaus;
 }
 
-std::vector<Fig09Plateau>
-fig09RunRamp(core::PolicyKind kind, double scale, std::uint64_t seed)
-{
-    sim::PlatformConfig pc;
-    pc.num_cores = 8;
-    sim::Platform platform(pc);
-    sim::Engine engine(platform);
-
-    scenarios::AggTestPmdConfig cfg;
-    cfg.frame_bytes = 64;
-    cfg.flows = 1;
-    cfg.seed = seed;
-    scenarios::AggTestPmdWorld world(platform, cfg);
-    world.attach(engine);
-
-    core::IatParams params;
-    params.interval_seconds = 5e-3;
-    const auto policy =
-        core::makePolicy(kind, platform.pqos(), world.registry(),
-                         params, world.model());
-    fault::attachPolicy(engine, *policy, params.interval_seconds);
-
-    std::vector<Fig09Plateau> rows;
-    for (const auto flows : fig09FlowPlateaus()) {
-        world.setFlows(flows);
-        engine.run(0.05 * scale); // settle at the new population
-        world.resetStats();
-        std::uint64_t inst0 = 0, cyc0 = 0, miss0 = 0;
-        for (const auto core : world.ovsCores()) {
-            inst0 += platform.instructionsRetired(core);
-            cyc0 += platform.cyclesElapsed(core);
-            miss0 += platform.llc().coreCounters(core).llc_misses;
-        }
-        const double window = 0.03 * scale;
-        engine.run(window);
-        std::uint64_t inst1 = 0, cyc1 = 0, miss1 = 0;
-        for (const auto core : world.ovsCores()) {
-            inst1 += platform.instructionsRetired(core);
-            cyc1 += platform.cyclesElapsed(core);
-            miss1 += platform.llc().coreCounters(core).llc_misses;
-        }
-
-        Fig09Plateau row;
-        row.flows = flows;
-        row.ovs_llc_miss_mps = (miss1 - miss0) / window / 1e6;
-        row.ovs_ipc = static_cast<double>(inst1 - inst0) /
-                      static_cast<double>(cyc1 - cyc0);
-        row.tx_mpps = world.txPackets() / window / 1e6;
-        row.ovs_ways =
-            policy->daemon() != nullptr
-                ? policy->daemon()->allocator().tenantWays(0)
-                : platform.pqos().l3caGet(1).count();
-        rows.push_back(row);
-    }
-    return rows;
-}
-
 Fig10Result
 fig10RunCase(core::PolicyKind kind, std::uint32_t frame_bytes,
              double scale, std::uint64_t seed)
@@ -245,9 +188,25 @@ chaosRunCase(core::PolicyKind kind, const fault::FaultPlan &plan,
         world.setFlows(flows);
         engine.run(0.05 * scale); // settle at the new population
         world.resetStats();
+        const auto before = sim::PlatformSnapshot::capture(platform);
         const double window = 0.03 * scale;
         engine.run(window);
-        tx_total += static_cast<double>(world.txPackets());
+        const auto ovs = sim::PlatformSnapshot::capture(platform)
+                             .since(before)
+                             .sumCores(world.ovsCores());
+        const std::uint64_t tx = world.txPackets();
+
+        Fig09Plateau row;
+        row.flows = flows;
+        row.ovs_llc_miss_mps = ovs.llc_misses / window / 1e6;
+        row.ovs_ipc = ipc(ovs);
+        row.tx_mpps = tx / window / 1e6;
+        row.ovs_ways = daemon != nullptr
+                           ? daemon->allocator().tenantWays(0)
+                           : platform.pqos().l3caGet(1).count();
+        r.plateaus.push_back(row);
+
+        tx_total += static_cast<double>(tx);
         window_total += window;
         r.mask_drift_ways =
             std::max(r.mask_drift_ways, sampleDrift());
@@ -313,10 +272,10 @@ fig03Trial(const exp::TrialContext &ctx)
 exp::TrialResult
 fig09Trial(const exp::TrialContext &ctx)
 {
-    const auto rows =
-        fig09RunRamp(policyParam(ctx), ctx.scale, ctx.seed);
+    const auto run = chaosRunCase(policyParam(ctx), fault::FaultPlan{},
+                                  true, ctx.scale, ctx.seed);
     exp::TrialResult result;
-    for (const auto &row : rows) {
+    for (const auto &row : run.plateaus) {
         const std::string prefix =
             "flows_" + std::to_string(row.flows) + ".";
         result.add(prefix + "ovs_llc_miss_mps", row.ovs_llc_miss_mps);
@@ -469,7 +428,6 @@ clusterTrial(const exp::TrialContext &ctx)
         static_cast<std::uint64_t>(ctx.getInt("dead_after", 8));
     cfg.scheduler.degraded_after_epochs = static_cast<std::uint64_t>(
         ctx.getInt("degraded_after", 4));
-    cfg.health.dead_after_epochs = cfg.scheduler.dead_after_epochs;
     cfg.migration_epochs =
         static_cast<std::uint64_t>(ctx.getInt("migration_epochs", 4));
     cfg.migration_frames = static_cast<unsigned>(

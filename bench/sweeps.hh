@@ -35,7 +35,7 @@ double fig03ZeroLossRate(std::uint32_t frame_bytes,
                          double window_scale, std::uint64_t seed);
 /// @}
 
-/// @name Fig 9: OVS vs flow count, ramped within one run
+/// @name Fig 9 and chaos: OVS vs flow count, ramped within one run
 /// @{
 
 /** One settled plateau of the flow-count ramp. */
@@ -51,51 +51,13 @@ struct Fig09Plateau
 /** The flow populations the ramp steps through, in order. */
 const std::vector<std::uint64_t> &fig09FlowPlateaus();
 
-/** Run one policy's continuous ramp; one row per plateau. */
-std::vector<Fig09Plateau> fig09RunRamp(core::PolicyKind kind,
-                                       double scale,
-                                       std::uint64_t seed);
-/// @}
-
-/// @name Fig 10: the shuffle cure under the scripted phases
-/// @{
-
-/** Container-4 X-Mem numbers in one settled window. */
-struct Fig10Phase
-{
-    double tput_mbps = 0.0;
-    double lat_ns = 0.0;
-};
-
-/** One (policy, frame size) case of Fig 10. */
-struct Fig10Result
-{
-    Fig10Phase after_t1; ///< settled after the working-set jump
-    Fig10Phase after_t2; ///< settled after the DDIO widening
-    /// End-of-run platform counters (the telemetry-gauge surface).
-    std::uint64_t ddio_hits = 0;
-    std::uint64_t ddio_misses = 0;
-    std::uint64_t dram_read_bytes = 0;
-    std::uint64_t dram_write_bytes = 0;
-};
-
-/**
- * Run one case under @p kind as given -- pass
- * core::PolicyKind::IatNoDdio explicitly for the paper's footnote-3
- * ablation (the fig10 binary does; the spec's policy axis lists
- * iat-noddio).
- */
-Fig10Result fig10RunCase(core::PolicyKind kind,
-                         std::uint32_t frame_bytes, double scale,
-                         std::uint64_t seed);
-/// @}
-
-/// @name Chaos: the Fig 9 agg_testpmd ramp under a fault plan
-/// @{
-
-/** End-of-campaign summary of one chaos (or fault-free) run. */
+/** One run of the Fig 9 ramp: the per-plateau rows plus the
+ *  end-of-run fault/hardening summary. */
 struct ChaosResult
 {
+    /** One row per fig09FlowPlateaus() entry, in ramp order. */
+    std::vector<Fig09Plateau> plateaus;
+
     /** Mean TX rate across all measurement windows of the ramp. */
     double tx_mpps = 0.0;
 
@@ -143,14 +105,48 @@ struct ChaosResult
 
 /**
  * Run the Fig 9 flow-count ramp (the full agg_testpmd campaign)
- * under @p kind with @p plan injected. An empty plan (any() false)
- * runs fault-free with no injector built, so the fault-free row is
- * bit-identical to a plain fig09 ramp. A plan whose seed is 0 gets
- * @p seed, keeping chaos trials reproducible per-trial.
+ * under @p kind with @p plan injected -- the one ramp body behind
+ * the fig09 and chaos trials and binaries. An empty plan (any()
+ * false) runs fault-free with no injector built: that is the fig09
+ * ramp. A plan whose seed is 0 gets @p seed, keeping chaos trials
+ * reproducible per-trial.
  */
 ChaosResult chaosRunCase(core::PolicyKind kind,
                          const fault::FaultPlan &plan, bool hardening,
                          double scale, std::uint64_t seed);
+/// @}
+
+/// @name Fig 10: the shuffle cure under the scripted phases
+/// @{
+
+/** Container-4 X-Mem numbers in one settled window. */
+struct Fig10Phase
+{
+    double tput_mbps = 0.0;
+    double lat_ns = 0.0;
+};
+
+/** One (policy, frame size) case of Fig 10. */
+struct Fig10Result
+{
+    Fig10Phase after_t1; ///< settled after the working-set jump
+    Fig10Phase after_t2; ///< settled after the DDIO widening
+    /// End-of-run platform counters (the telemetry-gauge surface).
+    std::uint64_t ddio_hits = 0;
+    std::uint64_t ddio_misses = 0;
+    std::uint64_t dram_read_bytes = 0;
+    std::uint64_t dram_write_bytes = 0;
+};
+
+/**
+ * Run one case under @p kind as given -- pass
+ * core::PolicyKind::IatNoDdio explicitly for the paper's footnote-3
+ * ablation (the fig10 binary does; the spec's policy axis lists
+ * iat-noddio).
+ */
+Fig10Result fig10RunCase(core::PolicyKind kind,
+                         std::uint32_t frame_bytes, double scale,
+                         std::uint64_t seed);
 /// @}
 
 /// @name Bakeoff: every policy head-to-head, with a fairness axis

@@ -15,7 +15,9 @@
 #include <cstdio>
 
 #include "core/daemon.hh"
+#include "fault/injector.hh"
 #include "scenarios/agg_testpmd.hh"
+#include "sim/stats_report.hh"
 #include "util/cli.hh"
 
 int
@@ -37,10 +39,11 @@ main(int argc, char **argv)
 
     core::IatParams params;
     params.interval_seconds = 5e-3;
-    core::IatDaemon daemon(platform.pqos(), world.registry(), params,
-                           world.model());
-    engine.addPeriodic(params.interval_seconds,
-                       [&](double now) { daemon.tick(now); }, 0.0);
+    const auto policy =
+        core::makePolicy(core::PolicyKind::Iat, platform.pqos(),
+                         world.registry(), params, world.model());
+    fault::attachPolicy(engine, *policy, params.interval_seconds);
+    const core::IatDaemon &daemon = *policy->daemon();
 
     // Double the packet size every eighth of the run (the paper's
     // Fig 8 procedure).
@@ -55,16 +58,16 @@ main(int argc, char **argv)
     });
 
     // Periodic report.
-    rdt::DdioCounters prev = platform.pqos().ddioPollExact();
+    auto prev = sim::PlatformSnapshot::capture(platform);
     engine.addPeriodic(seconds / 16.0, [&](double now) {
-        const auto cur = platform.pqos().ddioPollExact();
+        const auto cur = sim::PlatformSnapshot::capture(platform);
+        const auto delta = cur.since(prev);
         std::printf("t=%5.0fms state=%-10s ddio_ways=%u "
                     "hit=%6.2fM/s miss=%6.2fM/s tx=%llu\n",
                     now * 1e3, toString(daemon.state()),
                     daemon.ddioWays(),
-                    (cur.hits - prev.hits) / (seconds / 16.0) / 1e6,
-                    (cur.misses - prev.misses) /
-                        (seconds / 16.0) / 1e6,
+                    delta.ddio_hits / (seconds / 16.0) / 1e6,
+                    delta.ddio_misses / (seconds / 16.0) / 1e6,
                     static_cast<unsigned long long>(
                         world.txPackets()));
         prev = cur;

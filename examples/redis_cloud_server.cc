@@ -14,6 +14,7 @@
 #include <string>
 
 #include "core/daemon.hh"
+#include "fault/injector.hh"
 #include "scenarios/corun.hh"
 #include "util/cli.hh"
 
@@ -44,16 +45,15 @@ runOnce(bool with_iat, const std::string &app, char mix,
     scenarios::CorunWorld world(platform, cfg);
     world.attach(engine);
 
-    std::unique_ptr<core::IatDaemon> daemon;
+    std::unique_ptr<core::Policy> policy;
     if (with_iat) {
         core::IatParams params;
         params.interval_seconds = 5e-3;
-        daemon = std::make_unique<core::IatDaemon>(
-            platform.pqos(), world.registry(), params, world.model());
-        daemon->setTenantTuningEnabled(false); // paper SS VI-C
-        engine.addPeriodic(params.interval_seconds,
-                           [&](double now) { daemon->tick(now); },
-                           0.0);
+        policy = core::makePolicy(core::PolicyKind::Iat,
+                                  platform.pqos(), world.registry(),
+                                  params, world.model());
+        policy->daemon()->setTenantTuningEnabled(false); // SS VI-C
+        fault::attachPolicy(engine, *policy, params.interval_seconds);
     } else {
         // Hostile placement: the PC app lands on DDIO's ways.
         world.applyDeterministicPlacement(1);

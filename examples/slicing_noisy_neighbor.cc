@@ -15,7 +15,7 @@
 #include <cstdio>
 
 #include "core/daemon.hh"
-#include "scenarios/common.hh"
+#include "fault/injector.hh"
 #include "scenarios/slicing_pmd_xmem.hh"
 #include "util/cli.hh"
 #include "util/units.hh"
@@ -37,21 +37,16 @@ runOnce(bool with_iat, double scale)
     scenarios::SlicingPmdXmemWorld world(platform, cfg);
     world.attach(engine);
 
-    std::unique_ptr<core::IatDaemon> daemon;
+    // IAT without DDIO tuning (paper footnote 3), or static CAT, the
+    // paper's baseline.
     core::IatParams params;
     params.interval_seconds = 5e-3;
-    if (with_iat) {
-        daemon = std::make_unique<core::IatDaemon>(
-            platform.pqos(), world.registry(), params, world.model());
-        daemon->setDdioTuningEnabled(false); // paper footnote 3
-        engine.addPeriodic(params.interval_seconds,
-                           [&](double now) { daemon->tick(now); },
-                           0.0);
-    } else {
-        // Static CAT, the paper's baseline.
-        scenarios::applyStaticLayout(platform.pqos(),
-                                     world.registry());
-    }
+    const auto policy = core::makePolicy(
+        with_iat ? core::PolicyKind::IatNoDdio
+                 : core::PolicyKind::Static,
+        platform.pqos(), world.registry(), params, world.model());
+    fault::attachPolicy(engine, *policy, params.interval_seconds);
+    const core::IatDaemon *daemon = policy->daemon();
 
     engine.at(0.05 * scale,
               [&](double) { world.growXmem4(10 * MiB); });

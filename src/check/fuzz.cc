@@ -667,7 +667,6 @@ clusterConfigFromSeed(std::uint64_t seed)
     cfg.shard.ring_entries = 128;
     cfg.shard.remote_rate_pps =
         2e5 + 1e5 * static_cast<double>(rng.below(4));
-    cfg.shard.remote_frame_bytes = 256;
     cfg.shard.llc_approx = rng.below(2) ? 8 : 1;
     cfg.shard.seed = seed;
 
@@ -678,8 +677,6 @@ clusterConfigFromSeed(std::uint64_t seed)
         cfg.scheduler.policy = cluster::PlacePolicy::Failover;
         cfg.scheduler.dead_after_epochs = 4 + rng.below(5);
         cfg.scheduler.degraded_after_epochs = 2 + rng.below(3);
-        cfg.health.dead_after_epochs =
-            cfg.scheduler.dead_after_epochs;
         cfg.health.storm_budget = 1 + rng.below(4);
         cfg.migration_epochs = 1 + rng.below(4);
         cfg.migration_frames = 8 + static_cast<unsigned>(

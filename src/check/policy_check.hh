@@ -11,13 +11,14 @@
  * DDIO by design; LFOC shares masks within a cluster; IAT adds the
  * full ordered-segment/shuffle lattice of invariants.hh).
  *
- * fuzzPolicyTrial() is the matching generator: a small platform and
- * tenant registry driven by seeded random traffic bursts and tenant
- * churn -- fuzzed monitor inputs -- with the contract checked after
- * every policy tick. It is fault-free and oracle-free (no
- * DiffHarness), so a 500-sequence-per-policy property run stays
- * cheap; the full world fuzzer (fuzz.hh, `fuzz_sim --mode=world
- * --policy=...`) layers MSR faults and the cache oracle on top.
+ * The generator is the world fuzzer (fuzz.hh: fuzzWorldTrial(), also
+ * `fuzz_sim --mode=world --policy=...`): a small platform and tenant
+ * registry driven by seeded random traffic bursts and tenant churn --
+ * fuzzed monitor inputs -- with this contract checked after every
+ * policy tick while the cache oracle shadows the traffic. The
+ * property suite runs it with an empty FaultPlan, so every check is
+ * strict; with MSR faults only the always-true checks run (see
+ * policyViolation()).
  */
 
 #ifndef IATSIM_CHECK_POLICY_CHECK_HH
@@ -35,28 +36,22 @@ namespace iat::check {
 
 /**
  * Check @p policy's declared contract against the hardware state in
- * @p pqos for the tenants of @p registry. With @p strict false (the
- * trial injected MSR write rejections) only the always-true checks
- * run -- mask validity, and the allocator-intent invariants for the
- * IAT kinds -- because a transiently rejected write legitimately
- * leaves a stale (possibly overlapping) mask in hardware until the
- * policy's retry path repairs it. Returns an empty string when the
- * contract holds, else the first violation.
+ * @p pqos for the tenants of @p registry. A contract that promises
+ * shuffle_invariants (the IAT kinds) is checked on the daemon's
+ * allocator intent instead -- the ordered-segment invariants and the
+ * DDIO band it believes it programmed -- which holds even under
+ * injected faults. For every other kind, with @p strict false (the
+ * trial injected MSR write rejections) only mask validity is checked,
+ * because a transiently rejected write legitimately leaves a stale
+ * (possibly overlapping) mask in hardware until the policy's retry
+ * path repairs it. Returns an empty string when the contract holds,
+ * else the first violation.
  */
 std::string policyViolation(const core::Policy &policy,
                             rdt::PqosSystem &pqos,
                             const core::TenantRegistry &registry,
                             const core::IatParams &params,
                             bool strict = true);
-
-/**
- * One property trial: @p iterations intervals of seeded random
- * traffic and churn under @p kind, the contract checked after every
- * tick. Prefix-stable in @p iterations like the other fuzz trials.
- * Returns an empty string on success, else the first violation.
- */
-std::string fuzzPolicyTrial(core::PolicyKind kind, std::uint64_t seed,
-                            std::uint64_t iterations);
 
 } // namespace iat::check
 

@@ -10,6 +10,7 @@
 #include <cstdio>
 #include <sstream>
 
+#include "fault/injector.hh"
 #include "util/logging.hh"
 
 namespace iat::cluster {
@@ -23,6 +24,25 @@ constexpr std::uint64_t kSinkInstructions = 600;
 
 /** Instructions one batch touch retires besides its memory walk. */
 constexpr std::uint64_t kBatchInstructions = 200;
+
+/** Batch touches per quantum, and the span each one walks. */
+constexpr unsigned kBatchOps = 64;
+constexpr std::uint64_t kBatchChunkBytes = 2048;
+
+/**
+ * Fabric-sink bookkeeping state (connection tracking, stats,
+ * reassembly metadata), walked one line per serviced frame with
+ * deliberately poor locality. This is what makes remote-frame
+ * service time sensitive to the host's LLC/DRAM pressure -- the
+ * paper's contention channel, applied to the cluster fabric.
+ */
+constexpr std::uint64_t kSinkStateBytes = 8u << 20;
+
+/** Size of every frame a host sends on the fabric. */
+constexpr std::uint32_t kRemoteFrameBytes = 256;
+
+/** Poll interval of each host's IAT daemon. */
+constexpr double kDaemonInterval = 1e-3;
 
 /** Batch walk stride: page + line so consecutive touches never share
  *  a line or a DRAM row, defeating spatial reuse. */
@@ -82,7 +102,7 @@ ShardHost::FabricSource::runQuantum(double t_start, double dt)
         frame.dst_shard =
             (host_.id_ + 1 + dst_cursor_) % host_.num_shards_;
         dst_cursor_ = (dst_cursor_ + 1) % peers;
-        frame.bytes = host_.cfg_.remote_frame_bytes;
+        frame.bytes = kRemoteFrameBytes;
         frame.flow = gen_.nextFlow();
         frame.depart = next_departure_;
         host_.outbox_.push_back(frame);
@@ -140,9 +160,8 @@ ShardHost::BatchRunnable::runQuantum(double t_start, double dt)
             continue;
         const auto &region = host_.batch_regions_[slot];
         const cache::CoreId core = host_.batchCore(slot);
-        const std::uint64_t chunk = host_.cfg_.batch_chunk_bytes;
-        const std::uint64_t span = region.bytes - chunk;
-        for (unsigned op = 0; op < host_.cfg_.batch_ops; ++op) {
+        const std::uint64_t span = region.bytes - kBatchChunkBytes;
+        for (unsigned op = 0; op < kBatchOps; ++op) {
             const cache::Addr addr =
                 region.base + tenant->offset % span;
             // Mostly reads, with a write every fourth touch so the
@@ -150,7 +169,8 @@ ShardHost::BatchRunnable::runQuantum(double t_start, double dt)
             const auto type = (tenant->touches & 3) == 0
                                   ? cache::AccessType::Write
                                   : cache::AccessType::Read;
-            host_.platform_.coreTouch(core, addr, chunk, type);
+            host_.platform_.coreTouch(core, addr, kBatchChunkBytes,
+                                      type);
             host_.platform_.retire(core, kBatchInstructions);
             tenant->offset += kBatchStride;
             ++tenant->touches;
@@ -172,8 +192,7 @@ ShardHost::ShardHost(unsigned id, unsigned num_shards,
 {
     IAT_ASSERT(num_shards >= 1, "world needs at least one shard");
     IAT_ASSERT(id < num_shards, "shard id out of range");
-    IAT_ASSERT(cfg.batch_chunk_bytes > 0 &&
-                   cfg.batch_chunk_bytes < cfg.batch_ws_bytes,
+    IAT_ASSERT(kBatchChunkBytes < cfg.batch_ws_bytes,
                "batch chunk must fit the working set");
 
     scenarios::AggTestPmdConfig world_cfg;
@@ -194,7 +213,7 @@ ShardHost::ShardHost(unsigned id, unsigned num_shards,
     // source; frames enter only through injectRemote().
     net::TrafficConfig fabric_traffic;
     fabric_traffic.rate_pps = std::max(cfg.remote_rate_pps, 1.0);
-    fabric_traffic.frame_bytes = cfg.remote_frame_bytes;
+    fabric_traffic.frame_bytes = kRemoteFrameBytes;
     fabric_nic_ = std::make_unique<net::NicQueue>(
         platform_, static_cast<cache::DeviceId>(2), "fabric",
         fabric_traffic, cfg.ring_entries, 2.0,
@@ -220,21 +239,20 @@ ShardHost::ShardHost(unsigned id, unsigned num_shards,
         batch_regions_.push_back(platform_.addressSpace().alloc(
             cfg.batch_ws_bytes, "batch" + std::to_string(slot)));
     }
-    IAT_ASSERT(cfg.sink_state_bytes > 64,
-               "sink state region too small");
-    sink_state_ = platform_.addressSpace().alloc(
-        cfg.sink_state_bytes, "fabric-state");
+    sink_state_ = platform_.addressSpace().alloc(kSinkStateBytes,
+                                                 "fabric-state");
 
     core::IatParams params;
-    params.interval_seconds = cfg.daemon_interval;
-    daemon_ = std::make_unique<core::IatDaemon>(
-        platform_.pqos(), world_->registry(), params, world_->model());
+    params.interval_seconds = kDaemonInterval;
+    policy_ = core::makePolicy(core::PolicyKind::Iat, platform_.pqos(),
+                               world_->registry(), params,
+                               world_->model());
 
     world_->attach(engine_);
     if (num_shards >= 2 && cfg.remote_rate_pps > 0.0) {
         net::TrafficConfig remote;
         remote.rate_pps = cfg.remote_rate_pps;
-        remote.frame_bytes = cfg.remote_frame_bytes;
+        remote.frame_bytes = kRemoteFrameBytes;
         remote.num_flows = cfg.flows;
         source_ = std::make_unique<FabricSource>(
             *this, remote, world_cfg.seed + 600);
@@ -243,9 +261,7 @@ ShardHost::ShardHost(unsigned id, unsigned num_shards,
     engine_.add(&sink_);
     engine_.add(&batch_);
 
-    engine_.addPeriodic(
-        cfg.daemon_interval,
-        [this](double now) { daemon_->tick(now); }, 0.0);
+    fault::attachPolicy(engine_, *policy_, kDaemonInterval);
 
     telemetry_ =
         std::make_unique<sim::PlatformTelemetry>(platform_, metrics_);
@@ -425,13 +441,14 @@ ShardHost::digest() const
                                            host_lat_.count()))
        << " host.lat.p99=" << fmtExact(host_lat_.percentile(0.99));
 
-    os << " daemon.ticks=" << daemon_->ticks()
-       << " daemon.stable=" << daemon_->stableTicks()
-       << " daemon.shuffles=" << daemon_->shuffles()
-       << " daemon.state=" << static_cast<int>(daemon_->state())
-       << " ddio.ways=" << daemon_->ddioWays();
+    const auto &daemon = *policy_->daemon();
+    os << " daemon.ticks=" << daemon.ticks()
+       << " daemon.stable=" << daemon.stableTicks()
+       << " daemon.shuffles=" << daemon.shuffles()
+       << " daemon.state=" << static_cast<int>(daemon.state())
+       << " ddio.ways=" << daemon.ddioWays();
 
-    const auto &alloc = daemon_->allocator();
+    const auto &alloc = daemon.allocator();
     os << " masks=";
     for (std::size_t t = 0; t < alloc.tenantCount(); ++t) {
         if (t)

@@ -2,9 +2,10 @@
  * @file
  * One host of the sharded world: a full Platform (own SlicedLlc,
  * DRAM, RDT surface), an Engine, an agg_testpmd packet world, a
- * fabric port NIC, batch-tenant executors, its own IAT daemon, and a
- * per-host metrics registry with platform telemetry -- everything a
- * single-socket trial owns today, times N.
+ * fabric port NIC, batch-tenant executors, its own IAT daemon (built
+ * by core::makePolicy and ticked by fault::attachPolicy, like every
+ * single-host program), and a per-host metrics registry with platform
+ * telemetry -- everything a single-socket trial owns today, times N.
  *
  * A shard is single-threaded by construction: during an epoch,
  * exactly one thread (whichever worker the World assigned) runs this
@@ -32,6 +33,7 @@
 
 #include "cluster/fabric.hh"
 #include "core/daemon.hh"
+#include "core/policy.hh"
 #include "net/nic.hh"
 #include "obs/metrics.hh"
 #include "obs/stream/record.hh"
@@ -49,8 +51,6 @@ struct ShardConfig
     unsigned containers = 2;      ///< testpmd tenants per host
     unsigned batch_slots = 2;     ///< migratable-tenant slots per host
     std::uint64_t batch_ws_bytes = 4u << 20; ///< batch working set
-    unsigned batch_ops = 64;      ///< batch touches per quantum
-    std::uint32_t batch_chunk_bytes = 2048; ///< span per touch
 
     /**
      * Per-host peak memory bandwidth, GB/s. Cluster nodes are
@@ -60,24 +60,13 @@ struct ShardConfig
      */
     double dram_gbps = 16.0;
 
-    /**
-     * Fabric-sink bookkeeping state (connection tracking, stats,
-     * reassembly metadata), walked one line per serviced frame with
-     * deliberately poor locality. This is what makes remote-frame
-     * service time sensitive to the host's LLC/DRAM pressure -- the
-     * paper's contention channel, applied to the cluster fabric.
-     */
-    std::uint64_t sink_state_bytes = 8u << 20;
-
     double rate_pps = 1.5e6;      ///< offered local rate per NIC
     std::uint32_t frame_bytes = 64;
     std::uint64_t flows = 16;
     std::uint32_t ring_entries = 256;
 
     double remote_rate_pps = 0.0; ///< fabric egress rate; 0 = none
-    std::uint32_t remote_frame_bytes = 256;
 
-    double daemon_interval = 1e-3;
     unsigned llc_approx = 1;      ///< set-sampling period (PR 8)
     std::uint64_t seed = 1;
 };
@@ -145,7 +134,7 @@ class ShardHost
     sim::Platform &platform() { return platform_; }
     sim::Engine &engine() { return engine_; }
     scenarios::AggTestPmdWorld &world() { return *world_; }
-    core::IatDaemon &daemon() { return *daemon_; }
+    core::IatDaemon &daemon() { return *policy_->daemon(); }
     net::NicQueue &fabricNic() { return *fabric_nic_; }
     obs::MetricsRegistry &metrics() { return metrics_; }
     const ShardConfig &config() const { return cfg_; }
@@ -234,7 +223,7 @@ class ShardHost
     sim::Engine engine_;
     std::unique_ptr<scenarios::AggTestPmdWorld> world_;
     std::unique_ptr<net::NicQueue> fabric_nic_;
-    std::unique_ptr<core::IatDaemon> daemon_;
+    std::unique_ptr<core::Policy> policy_; ///< always PolicyKind::Iat
 
     std::unique_ptr<FabricSource> source_; ///< null without egress
     FabricSink sink_;

@@ -42,6 +42,9 @@ resolveThreads(unsigned requested, unsigned shards)
  *  them distinct from tenant traffic in sink bookkeeping. */
 constexpr std::uint64_t kMigrationFlowBase = 0x4d19'0000ull;
 
+/** Size of each migration state-transfer frame. */
+constexpr std::uint32_t kMigrationFrameBytes = 1500;
+
 } // namespace
 
 ClusterWorld::ClusterWorld(const ClusterConfig &cfg)
@@ -65,8 +68,10 @@ ClusterWorld::ClusterWorld(const ClusterConfig &cfg)
             cfg.fault, cfg.shards, cfg.shard.seed);
         fabric_.setFaultHook(injector_.get());
     }
-    health_ =
-        std::make_unique<obs::ClusterHealthMonitor>(cfg.health);
+    // The watchdog's host_down threshold is the scheduler's: a host
+    // Failover evacuates is exactly a host the watchdog calls down.
+    health_ = std::make_unique<obs::ClusterHealthMonitor>(
+        cfg.health, cfg.scheduler.dead_after_epochs);
 
     // The epoch must land exactly on quantum boundaries or shard
     // clocks would drift from the fabric's epoch-edge arithmetic.
@@ -248,7 +253,7 @@ ClusterWorld::beginMigration(const Migration &m)
         FabricFrame f;
         f.src_shard = m.from;
         f.dst_shard = m.to;
-        f.bytes = cfg_.migration_frame_bytes;
+        f.bytes = kMigrationFrameBytes;
         f.flow = kMigrationFlowBase + m.tenant;
         f.depart = now + static_cast<double>(k) *
                              (static_cast<double>(window) *

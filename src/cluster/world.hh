@@ -89,12 +89,12 @@ struct ClusterConfig
      *  so a fault campaign reseeds with the trial. */
     fault::ClusterFaultPlan fault;
 
-    /** Cluster-scope health watchdog thresholds. */
+    /** Cluster-scope health watchdog thresholds; host_down fires at
+     *  the scheduler's dead_after_epochs. */
     obs::ClusterHealthConfig health;
 
     /** State-transfer frames one migration puts on the fabric. */
     unsigned migration_frames = 64;
-    std::uint32_t migration_frame_bytes = 1500;
     /** Epochs a migration spends in transit before the cold attach
      *  on the destination (clamped to >= 1). */
     std::uint64_t migration_epochs = 4;

@@ -97,7 +97,6 @@ policyContract(PolicyKind kind)
         c.tenant_disjoint = true;
         c.ddio_bounded = true;
         c.shuffle_invariants = true;
-        c.tunes_ddio = true;
         break;
       case PolicyKind::IatNoDdio:
         // The ablation leaves the DDIO register alone, so the band
@@ -112,7 +111,6 @@ policyContract(PolicyKind kind)
         // tenant may share with DDIO, exactly like IAT.
         c.tenant_disjoint = true;
         c.ddio_bounded = true;
-        c.tunes_ddio = true;
         break;
       case PolicyKind::Lfoc:
         // Cluster members share one mask; distinct clusters never

@@ -87,11 +87,9 @@ struct PolicyContract
     bool ddio_bounded = false;
 
     /** The IAT ordered-segment invariants (check/invariants.hh)
-     *  hold on the policy's allocator intent. */
+     *  hold on the policy's allocator intent; only an IatDaemon
+     *  (daemon() non-null) carries one. */
     bool shuffle_invariants = false;
-
-    /** The policy writes the DDIO register at all. */
-    bool tunes_ddio = false;
 };
 
 /** The contract each kind declares; see the field comments. */

@@ -26,31 +26,6 @@ toString(TrialStatus status)
 }
 
 std::string
-jsonEscape(const std::string &s)
-{
-    std::string out;
-    out.reserve(s.size());
-    for (const char c : s) {
-        switch (c) {
-          case '"': out += "\\\""; break;
-          case '\\': out += "\\\\"; break;
-          case '\n': out += "\\n"; break;
-          case '\r': out += "\\r"; break;
-          case '\t': out += "\\t"; break;
-          default:
-            if (static_cast<unsigned char>(c) < 0x20) {
-                char buf[8];
-                std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-                out += buf;
-            } else {
-                out += c;
-            }
-        }
-    }
-    return out;
-}
-
-std::string
 jsonNumber(double value)
 {
     if (!std::isfinite(value))
@@ -65,25 +40,25 @@ serializeRecord(const std::string &spec_hash, const TrialContext &ctx,
                 const TrialOutcome &outcome)
 {
     std::ostringstream out;
-    out << "{\"spec_hash\":\"" << jsonEscape(spec_hash) << "\""
-        << ",\"sweep\":\"" << jsonEscape(ctx.sweep) << "\""
+    out << "{\"spec_hash\":\"" << json::escape(spec_hash) << "\""
+        << ",\"sweep\":\"" << json::escape(ctx.sweep) << "\""
         << ",\"trial\":" << ctx.index << ",\"seed\":" << ctx.seed;
     // Chaos trials carry their fault-plan digest; fault-free records
     // keep the exact pre-fault byte layout.
     if (!ctx.fault_hash.empty())
-        out << ",\"fault_plan\":\"" << jsonEscape(ctx.fault_hash) << "\"";
+        out << ",\"fault_plan\":\"" << json::escape(ctx.fault_hash) << "\"";
     out << ",\"params\":{";
     for (std::size_t i = 0; i < ctx.params.size(); ++i) {
-        out << (i ? "," : "") << "\"" << jsonEscape(ctx.params[i].first)
-            << "\":\"" << jsonEscape(ctx.params[i].second) << "\"";
+        out << (i ? "," : "") << "\"" << json::escape(ctx.params[i].first)
+            << "\":\"" << json::escape(ctx.params[i].second) << "\"";
     }
     out << "},\"status\":\"" << toString(outcome.status) << "\"";
     if (outcome.status == TrialStatus::Failed)
-        out << ",\"error\":\"" << jsonEscape(outcome.error) << "\"";
+        out << ",\"error\":\"" << json::escape(outcome.error) << "\"";
     out << ",\"metrics\":{";
     for (std::size_t i = 0; i < outcome.result.metrics.size(); ++i) {
         out << (i ? "," : "") << "\""
-            << jsonEscape(outcome.result.metrics[i].first)
+            << json::escape(outcome.result.metrics[i].first)
             << "\":" << jsonNumber(outcome.result.metrics[i].second);
     }
     out << "}}";
@@ -189,8 +164,8 @@ writeManifest(const std::string &path, const ExperimentSpec &spec,
     if (!out)
         return false;
     out << "{\n";
-    out << "  \"campaign\": \"" << jsonEscape(spec.name) << "\",\n";
-    out << "  \"sweep\": \"" << jsonEscape(spec.sweep) << "\",\n";
+    out << "  \"campaign\": \"" << json::escape(spec.name) << "\",\n";
+    out << "  \"sweep\": \"" << json::escape(spec.sweep) << "\",\n";
     out << "  \"spec_hash\": \"" << spec.hash(scale) << "\",\n";
     out << "  \"seed\": " << spec.seed << ",\n";
     out << "  \"seed_mode\": \""
@@ -203,10 +178,10 @@ writeManifest(const std::string &path, const ExperimentSpec &spec,
     out << "  \"axes\": {";
     for (std::size_t a = 0; a < spec.axes.size(); ++a) {
         const auto &axis = spec.axes[a];
-        out << (a ? ", " : "") << "\"" << jsonEscape(axis.name)
+        out << (a ? ", " : "") << "\"" << json::escape(axis.name)
             << "\": [";
         for (std::size_t i = 0; i < axis.values.size(); ++i) {
-            out << (i ? ", " : "") << "\"" << jsonEscape(axis.values[i])
+            out << (i ? ", " : "") << "\"" << json::escape(axis.values[i])
                 << "\"";
         }
         out << "]";
@@ -215,8 +190,8 @@ writeManifest(const std::string &path, const ExperimentSpec &spec,
     out << "  \"params\": {";
     for (std::size_t i = 0; i < spec.constants.size(); ++i) {
         out << (i ? ", " : "") << "\""
-            << jsonEscape(spec.constants[i].first) << "\": \""
-            << jsonEscape(spec.constants[i].second) << "\"";
+            << json::escape(spec.constants[i].first) << "\": \""
+            << json::escape(spec.constants[i].second) << "\"";
     }
     out << "},\n";
     out << "  \"run\": {\n";

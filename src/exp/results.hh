@@ -121,9 +121,6 @@ struct RunStats
 bool writeManifest(const std::string &path, const ExperimentSpec &spec,
                    double scale, const RunStats &stats);
 
-/** JSON string escaping (quotes added by the caller). */
-std::string jsonEscape(const std::string &s);
-
 /** Shortest %.17g rendering; non-finite values become null. */
 std::string jsonNumber(double value);
 

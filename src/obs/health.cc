@@ -12,7 +12,7 @@
 
 #include "obs/metrics.hh"
 #include "obs/stream/ring.hh"
-#include "obs/trace.hh"
+#include "util/json.hh"
 
 namespace iat::obs {
 
@@ -44,7 +44,7 @@ std::string
 ruleJson(const RuleStatus &rule)
 {
     std::string out = "{\"name\":\"";
-    out += jsonEscape(rule.name);
+    out += json::escape(rule.name);
     out += "\",\"enabled\":";
     out += rule.enabled ? "true" : "false";
     out += ",\"firing\":";
@@ -213,8 +213,9 @@ HealthMonitor::noteTransitions(double now)
     }
 }
 
-ClusterHealthMonitor::ClusterHealthMonitor(ClusterHealthConfig cfg)
-    : cfg_(cfg)
+ClusterHealthMonitor::ClusterHealthMonitor(
+    ClusterHealthConfig cfg, std::uint64_t dead_after_epochs)
+    : cfg_(cfg), dead_after_epochs_(dead_after_epochs)
 {
     status_.rules.resize(3);
     status_.rules[0].name = "host_down";
@@ -235,8 +236,7 @@ ClusterHealthMonitor::evaluate(
     std::size_t silent = 0;
     std::uint64_t worst_age = 0;
     for (const std::uint64_t age : heartbeat_age) {
-        if (cfg_.dead_after_epochs > 0 &&
-            age >= cfg_.dead_after_epochs)
+        if (dead_after_epochs_ > 0 && age >= dead_after_epochs_)
             ++silent;
         worst_age = std::max(worst_age, age);
     }
@@ -246,9 +246,8 @@ ClusterHealthMonitor::evaluate(
     // see how stale the silent host is.
     {
         RuleStatus &rule = status_.rules[0];
-        rule.enabled = cfg_.dead_after_epochs > 0;
-        rule.threshold =
-            static_cast<double>(cfg_.dead_after_epochs);
+        rule.enabled = dead_after_epochs_ > 0;
+        rule.threshold = static_cast<double>(dead_after_epochs_);
         rule.value = static_cast<double>(worst_age);
         rule.firing = rule.enabled && silent > 0;
     }
@@ -258,7 +257,7 @@ ClusterHealthMonitor::evaluate(
     {
         RuleStatus &rule = status_.rules[1];
         rule.enabled = cfg_.partition_min_hosts > 0 &&
-                       cfg_.dead_after_epochs > 0;
+                       dead_after_epochs_ > 0;
         rule.threshold =
             static_cast<double>(cfg_.partition_min_hosts);
         rule.value = static_cast<double>(silent);

@@ -151,13 +151,11 @@ class HealthMonitor
     double first_eval_seconds_ = -1.0;
 };
 
-/** Cluster-scope watchdog thresholds; zero disables a rule. */
+/** Cluster-scope watchdog thresholds; zero disables a rule. The
+ *  host_down threshold is passed to the monitor on its own: the
+ *  cluster world hands it the scheduler's death threshold. */
 struct ClusterHealthConfig
 {
-    /** host_down fires while any host's heartbeat age reaches this
-     *  many epochs; 0 disables. */
-    std::uint64_t dead_after_epochs = 8;
-
     /** partition_detected fires when >= partition_min_hosts hosts
      *  AND >= partition_fraction of the cluster are silent at once
      *  -- correlated silence is a fabric cut, not mass death.
@@ -188,7 +186,10 @@ struct ClusterHealthConfig
 class ClusterHealthMonitor
 {
   public:
-    explicit ClusterHealthMonitor(ClusterHealthConfig cfg);
+    /** host_down fires while any host's heartbeat age reaches
+     *  @p dead_after_epochs; 0 disables it and partition_detected. */
+    ClusterHealthMonitor(ClusterHealthConfig cfg,
+                         std::uint64_t dead_after_epochs);
 
     /** Install (or clear) the dispatcher transitions publish to;
      *  the World wires this after building its stream pipeline. */
@@ -214,6 +215,7 @@ class ClusterHealthMonitor
     void noteTransitions(double now);
 
     ClusterHealthConfig cfg_;
+    std::uint64_t dead_after_epochs_;
     stream::StreamDispatcher *publish_ = nullptr;
 
     HealthStatus status_;

@@ -11,7 +11,7 @@
 #include <ostream>
 
 #include "obs/stream/exporter.hh"
-#include "obs/trace.hh"
+#include "util/json.hh"
 #include "util/logging.hh"
 
 namespace iat::obs {
@@ -138,7 +138,7 @@ TimeSeriesSampler::publishHeader(double now)
         if (i)
             out += ',';
         out += "{\"name\":\"";
-        out += jsonEscape((*columns_)[i]);
+        out += json::escape((*columns_)[i]);
         out += "\",\"semantics\":\"";
         out += toString(semantics_[i]);
         out += "\"}";
@@ -166,7 +166,7 @@ TimeSeriesSampler::publishRow(const Row &row)
         if (i)
             out += ',';
         out += '"';
-        out += jsonEscape((*columns_)[i]);
+        out += json::escape((*columns_)[i]);
         out += "\":";
         out += formatValue(row.values[i]);
     }
@@ -249,7 +249,7 @@ TimeSeriesSampler::writeJsonl(std::ostream &os) const
     for (const auto &row : rows_) {
         os << "{\"t_seconds\":" << formatValue(row.t);
         for (std::size_t i = 0; i < columns_->size(); ++i) {
-            os << ",\"" << jsonEscape((*columns_)[i])
+            os << ",\"" << json::escape((*columns_)[i])
                << "\":" << formatValue(row.values[i]);
         }
         os << "}\n";

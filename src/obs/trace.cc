@@ -17,6 +17,7 @@
 #include <sstream>
 
 #include "obs/stream/exporter.hh"
+#include "util/json.hh"
 #include "util/logging.hh"
 
 namespace iat::obs {
@@ -41,11 +42,11 @@ writeArgs(std::ostream &os, const std::vector<TraceArg> &args)
     for (std::size_t i = 0; i < args.size(); ++i) {
         if (i)
             os << ',';
-        os << '"' << jsonEscape(args[i].key) << "\":";
+        os << '"' << json::escape(args[i].key) << "\":";
         if (args[i].is_num)
             os << jsonNumber(args[i].num);
         else
-            os << '"' << jsonEscape(args[i].str) << '"';
+            os << '"' << json::escape(args[i].str) << '"';
     }
     os << '}';
 }
@@ -53,8 +54,8 @@ writeArgs(std::ostream &os, const std::vector<TraceArg> &args)
 void
 writeEvent(std::ostream &os, const TraceEvent &ev, bool chrome)
 {
-    os << "{\"name\":\"" << jsonEscape(ev.name) << "\",\"cat\":\""
-       << jsonEscape(ev.category) << "\",\"ph\":\"" << ev.phase
+    os << "{\"name\":\"" << json::escape(ev.name) << "\",\"cat\":\""
+       << json::escape(ev.category) << "\",\"ph\":\"" << ev.phase
        << "\",";
     if (chrome) {
         // trace_event wants microseconds.
@@ -72,32 +73,6 @@ writeEvent(std::ostream &os, const TraceEvent &ev, bool chrome)
 
 } // namespace
 
-std::string
-jsonEscape(const std::string &s)
-{
-    std::string out;
-    out.reserve(s.size());
-    for (const char c : s) {
-        switch (c) {
-          case '"': out += "\\\""; break;
-          case '\\': out += "\\\\"; break;
-          case '\n': out += "\\n"; break;
-          case '\r': out += "\\r"; break;
-          case '\t': out += "\\t"; break;
-          default:
-            if (static_cast<unsigned char>(c) < 0x20) {
-                char buf[8];
-                std::snprintf(buf, sizeof buf, "\\u%04x",
-                              static_cast<unsigned>(
-                                  static_cast<unsigned char>(c)));
-                out += buf;
-            } else {
-                out += c;
-            }
-        }
-    }
-    return out;
-}
 
 std::string
 traceRecordJson(const TraceEvent &event)
@@ -105,8 +80,8 @@ traceRecordJson(const TraceEvent &event)
     std::ostringstream os;
     os << "{\"kind\":\"trace\",\"t_seconds\":"
        << jsonNumber(event.ts_seconds) << ",\"name\":\""
-       << jsonEscape(event.name) << "\",\"cat\":\""
-       << jsonEscape(event.category) << "\",\"ph\":\"" << event.phase
+       << json::escape(event.name) << "\",\"cat\":\""
+       << json::escape(event.category) << "\",\"ph\":\"" << event.phase
        << "\",\"args\":";
     writeArgs(os, event.args);
     os << '}';

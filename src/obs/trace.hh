@@ -151,9 +151,6 @@ class Tracer
 /** Serialize one event as a streamed Trace record's JSON line. */
 std::string traceRecordJson(const TraceEvent &event);
 
-/** JSON string escaping (exposed for the serializers and tests). */
-std::string jsonEscape(const std::string &s);
-
 } // namespace iat::obs
 
 #endif // IATSIM_OBS_TRACE_HH

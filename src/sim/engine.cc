@@ -103,23 +103,9 @@ Engine::run(double seconds)
     // The loop covers hooks due up to end - dt/2. One-shot hooks due
     // in (end - dt/2, end] -- notably at(when == end) -- would
     // otherwise be lost to callers that never run() again; drain them
-    // now. Periodic hooks due at the end edge keep belonging to the
-    // next run() (their next tick is the first event of that window).
-    const double edge = end + dt * 1e-6; // `when == end` up to fp noise
-    std::vector<Hook> periodic;
-    while (!hooks_.empty() && hooks_.top().next <= edge) {
-        Hook hook = hooks_.top();
-        hooks_.pop();
-        if (hook.interval > 0.0) {
-            periodic.push_back(std::move(hook));
-            continue;
-        }
-        hook.fn(hook.next);
-        if (hooks_counter_)
-            hooks_counter_->inc();
-    }
-    for (auto &hook : periodic)
-        hooks_.push(std::move(hook));
+    // now. A stopped run ends at its clock, so it drains only what is
+    // due by then: later hooks belong to the next run().
+    drainOneShots(stop_requested_ ? platform_.now() : end);
     for (auto &fn : run_end_hooks_)
         fn(platform_.now());
 }
@@ -136,8 +122,17 @@ Engine::runOpenEnded()
 void
 Engine::quiesce()
 {
+    drainOneShots(platform_.now());
+}
+
+void
+Engine::drainOneShots(double horizon)
+{
+    // `when == horizon` up to fp noise. Periodic hooks due by the
+    // horizon keep belonging to the next window (their next tick is
+    // its first event), so they go back unfired.
     const double edge =
-        platform_.now() + platform_.config().quantum_seconds * 1e-6;
+        horizon + platform_.config().quantum_seconds * 1e-6;
     std::vector<Hook> periodic;
     while (!hooks_.empty() && hooks_.top().next <= edge) {
         Hook hook = hooks_.top();

@@ -76,7 +76,9 @@ class Engine
      * not quantum multiples record unskewed timestamps. One-shot
      * hooks due at or before the end of the run (including exactly
      * at the end) fire before run() returns; a periodic hook due
-     * exactly at the end fires at the start of the next run().
+     * exactly at the end fires at the start of the next run(). A run
+     * stopped early by requestStop() ends at its clock and drains
+     * only the one-shot hooks due by then.
      */
     void run(double seconds);
 
@@ -96,8 +98,8 @@ class Engine
     void requestStop() { stop_requested_ = true; }
     bool stopRequested() const { return stop_requested_; }
 
-    /** Fire one-shot hooks due at or before now (the run()-end
-     *  drain, callable on its own after an open-ended stop). */
+    /** Fire one-shot hooks due at or before now (the drain a
+     *  stopped run ends with, callable on its own). */
     void quiesce();
 
     /**
@@ -112,6 +114,11 @@ class Engine
   private:
     /** Fire every queued hook scheduled at or before @p horizon. */
     void fireDueHooks(double horizon);
+
+    /** Fire the one-shot hooks due by @p horizon; periodic ones stay
+     *  queued. The end-of-window drain of run(), runOpenEnded() and
+     *  quiesce(). */
+    void drainOneShots(double horizon);
 
     /** Advance one quantum: due hooks, runnables, platform clock. */
     void stepQuantum();

@@ -70,6 +70,21 @@ PlatformSnapshot::since(const PlatformSnapshot &earlier) const
     return delta;
 }
 
+PlatformSnapshot::CoreRow
+PlatformSnapshot::sumCores(
+    const std::vector<cache::CoreId> &core_list) const
+{
+    CoreRow sum;
+    for (const auto core : core_list) {
+        const auto &row = cores.at(core);
+        sum.instructions += row.instructions;
+        sum.cycles += row.cycles;
+        sum.llc_refs += row.llc_refs;
+        sum.llc_misses += row.llc_misses;
+    }
+    return sum;
+}
+
 TablePrinter
 StatsReport::coreTable() const
 {

@@ -64,6 +64,10 @@ struct PlatformSnapshot
     /** Counter-wise difference (this - earlier); levels kept, see
      *  the delta contract above. Sets is_delta on the result. */
     PlatformSnapshot since(const PlatformSnapshot &earlier) const;
+
+    /** The rows of @p core_list added up (a tenant's or a stage's
+     *  cores): the per-core side of a measurement window. */
+    CoreRow sumCores(const std::vector<cache::CoreId> &core_list) const;
 };
 
 /** Render a snapshot (or a delta) as console tables. */

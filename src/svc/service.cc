@@ -11,7 +11,7 @@
 
 #include "check/invariants.hh"
 #include "check/policy_check.hh"
-#include "obs/trace.hh"
+#include "util/json.hh"
 #include "util/logging.hh"
 #include "util/proc.hh"
 
@@ -47,7 +47,7 @@ jnum(std::uint64_t v)
 std::string
 jstr(const std::string &s)
 {
-    return '"' + obs::jsonEscape(s) + '"';
+    return '"' + json::escape(s) + '"';
 }
 
 std::string

@@ -13,6 +13,7 @@
 #define IATSIM_UTIL_JSON_HH
 
 #include <cctype>
+#include <cstdio>
 #include <cstdlib>
 #include <memory>
 #include <string>
@@ -244,6 +245,38 @@ inline std::unique_ptr<Value>
 parse(const std::string &text)
 {
     return Parser(text).parse();
+}
+
+/** JSON string escaping, quotes added by the caller: quote,
+ *  backslash, newline, carriage return and tab get their short
+ *  escapes, other control bytes a four-hex-digit unicode escape. The
+ *  one escaper behind the tracer, sampler, health records, campaign
+ *  records and the service's control replies. */
+inline std::string
+escape(const std::string &s)
+{
+    std::string out;
+    out.reserve(s.size());
+    for (const char c : s) {
+        switch (c) {
+          case '"': out += "\\\""; break;
+          case '\\': out += "\\\\"; break;
+          case '\n': out += "\\n"; break;
+          case '\r': out += "\\r"; break;
+          case '\t': out += "\\t"; break;
+          default:
+            if (static_cast<unsigned char>(c) < 0x20) {
+                char buf[8];
+                std::snprintf(buf, sizeof buf, "\\u%04x",
+                              static_cast<unsigned>(
+                                  static_cast<unsigned char>(c)));
+                out += buf;
+            } else {
+                out += c;
+            }
+        }
+    }
+    return out;
 }
 
 } // namespace iat::json

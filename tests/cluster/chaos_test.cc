@@ -75,7 +75,6 @@ TEST(ClusterChaos, FaultedDigestIdenticalAcrossThreads)
         ref_cfg.scheduler.policy = PlacePolicy::Failover;
         ref_cfg.scheduler.dead_after_epochs = 4;
         ref_cfg.scheduler.degraded_after_epochs = 2;
-        ref_cfg.health.dead_after_epochs = 4;
         ref_cfg.fault = fullPlan();
         const auto ref = runDigest(ref_cfg, 24);
         for (const unsigned threads : {2u, 4u}) {
@@ -183,7 +182,6 @@ TEST(ClusterChaos, FailoverHealsACrashEndToEnd)
     cfg.scheduler.margin = 10.0; // evacuations only
     cfg.scheduler.dead_after_epochs = 4;
     cfg.scheduler.degraded_after_epochs = 2;
-    cfg.health.dead_after_epochs = 4;
     cfg.fault.crash_host = 0;
     cfg.fault.crash_epoch = 8;
     cfg.fault.crash_recovery = 0; // permanent
@@ -240,7 +238,6 @@ TEST(ClusterChaos, PartitionLooksLikeDeathUntilItHeals)
     cfg.scheduler.margin = 10.0;
     cfg.scheduler.dead_after_epochs = 4;
     cfg.scheduler.degraded_after_epochs = 2;
-    cfg.health.dead_after_epochs = 4;
     cfg.fault.partition_cut = 2;
     cfg.fault.partition_epoch = 4;
     cfg.fault.partition_duration = 12;

@@ -1,18 +1,23 @@
 /**
  * @file
  * The bakeoff's policy property suite: every registered PolicyKind
- * driven through 500 fuzzed monitor-input sequences, with each
- * policy's declared contract (check/policy_check.hh) verified after
- * every tick. A failure message carries the kind, seed and first
- * violated invariant.
+ * driven through 500 fuzzed monitor-input sequences of the world
+ * fuzzer (check::fuzzWorldTrial() under an empty FaultPlan, so every
+ * contract check is strict and the cache oracle shadows the
+ * traffic), with each policy's declared contract
+ * (check/policy_check.hh) verified after every tick. A failure
+ * message carries the kind, seed and first violated invariant.
  */
 
-#include "check/policy_check.hh"
+#include "check/fuzz.hh"
 
 #include <gtest/gtest.h>
 
 namespace iat {
 namespace {
+
+/** No faults: the contracts are checked strictly. */
+const fault::FaultPlan kCleanPlan{};
 
 /** Seeds per kind; the ISSUE's campaign floor. */
 constexpr std::uint64_t kSequences = 500;
@@ -28,8 +33,8 @@ TEST_P(PolicyPropertyTest, ContractHoldsUnderFuzzedMonitorInputs)
 {
     const auto kind = GetParam();
     for (std::uint64_t seed = 1; seed <= kSequences; ++seed) {
-        const auto violation =
-            check::fuzzPolicyTrial(kind, seed, kIterations);
+        const auto violation = check::fuzzWorldTrial(
+            seed, kIterations, &kCleanPlan, kind);
         ASSERT_TRUE(violation.empty())
             << core::toString(kind) << " seed " << seed << ": "
             << violation;
@@ -43,7 +48,7 @@ TEST_P(PolicyPropertyTest, ContractHoldsOverLongSequences)
     const auto kind = GetParam();
     for (std::uint64_t seed = 1000; seed < 1010; ++seed) {
         const auto violation =
-            check::fuzzPolicyTrial(kind, seed, 400);
+            check::fuzzWorldTrial(seed, 400, &kCleanPlan, kind);
         ASSERT_TRUE(violation.empty())
             << core::toString(kind) << " seed " << seed << ": "
             << violation;

@@ -110,19 +110,16 @@ TEST(PolicyKindTest, ContractTable)
     EXPECT_TRUE(iat.tenant_disjoint);
     EXPECT_TRUE(iat.ddio_bounded);
     EXPECT_TRUE(iat.shuffle_invariants);
-    EXPECT_TRUE(iat.tunes_ddio);
 
     // The ablation keeps the shuffle lattice but gives up the DDIO
     // band promise along with the register writes.
     const auto noddio = policyContract(PolicyKind::IatNoDdio);
     EXPECT_TRUE(noddio.shuffle_invariants);
     EXPECT_FALSE(noddio.ddio_bounded);
-    EXPECT_FALSE(noddio.tunes_ddio);
 
     const auto ioca = policyContract(PolicyKind::Ioca);
     EXPECT_TRUE(ioca.tenant_disjoint);
     EXPECT_TRUE(ioca.ddio_bounded);
-    EXPECT_TRUE(ioca.tunes_ddio);
     EXPECT_FALSE(ioca.shuffle_invariants)
         << "IOCA orders I/O tenants on top; the BE-last shuffle "
            "rules do not apply";
@@ -131,7 +128,6 @@ TEST(PolicyKindTest, ContractTable)
     EXPECT_FALSE(lfoc.tenant_disjoint);
     EXPECT_TRUE(lfoc.cluster_disjoint);
     EXPECT_TRUE(lfoc.ddio_disjoint);
-    EXPECT_FALSE(lfoc.tunes_ddio);
 
     // Core-only cannot see DDIO, so it cannot promise to avoid it.
     const auto coreonly = policyContract(PolicyKind::CoreOnly);
@@ -164,6 +160,11 @@ TEST_F(PolicyTest, FactoryBuildsEveryKind)
             << toString(kind)
             << ": daemon() must expose the IatDaemon for the IAT "
                "kinds only";
+        // check::policyViolation() reads the daemon's allocator
+        // intent exactly when the contract promises the shuffle
+        // invariants.
+        EXPECT_EQ(policy->contract().shuffle_invariants, is_daemon)
+            << toString(kind);
     }
 }
 

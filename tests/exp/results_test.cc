@@ -86,8 +86,22 @@ TEST(Results, JsonNumber)
 
 TEST(Results, JsonEscape)
 {
-    EXPECT_EQ(jsonEscape("a\"b\\c\nd\te"), "a\\\"b\\\\c\\nd\\te");
-    EXPECT_EQ(jsonEscape(std::string(1, '\x01')), "\\u0001");
+    // Every string field of a record goes through the shared escaper:
+    // quotes, backslashes and control characters come out escaped and
+    // the one-line record still reads back.
+    TrialContext ctx = makeCtx(0, 1);
+    ctx.sweep = "a\"b\\c\nd\te";
+    ctx.params = {{"k", std::string(1, '\x01')}};
+    const std::string hash = "h\"\\\n";
+    const auto line = serializeRecord(hash, ctx, TrialOutcome{});
+    EXPECT_EQ(line.find('\n'), std::string::npos);
+    EXPECT_NE(line.find("\"sweep\":\"a\\\"b\\\\c\\nd\\te\""),
+              std::string::npos);
+    EXPECT_NE(line.find("\"k\":\"\\u0001\""), std::string::npos);
+    const auto records = readRecords(line + "\n");
+    ASSERT_EQ(records.size(), 1u);
+    EXPECT_EQ(records[0].spec_hash, hash);
+    EXPECT_EQ(records[0].line, line);
 }
 
 TEST(Results, ReadRecordsSkipsGarbage)

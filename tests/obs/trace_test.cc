@@ -197,14 +197,5 @@ TEST(Tracer, WriteFileFailsOnBadPath)
         "/nonexistent-dir-iatsim/trace.json"));
 }
 
-TEST(JsonEscape, ControlAndQuoteCharacters)
-{
-    EXPECT_EQ(jsonEscape("plain"), "plain");
-    EXPECT_EQ(jsonEscape("a\"b"), "a\\\"b");
-    EXPECT_EQ(jsonEscape("a\\b"), "a\\\\b");
-    EXPECT_EQ(jsonEscape("a\nb"), "a\\nb");
-    EXPECT_EQ(jsonEscape(std::string("a\x01") + "b"), "a\\u0001b");
-}
-
 } // namespace
 } // namespace iat::obs

@@ -240,6 +240,49 @@ TEST(Engine, PeriodicHookDoesNotDrift)
             << "fire " << i;
 }
 
+/** smallConfig() with 50 us quanta, so a 1 ms run spans 20. */
+PlatformConfig
+fineConfig()
+{
+    PlatformConfig cfg = smallConfig();
+    cfg.quantum_seconds = 50e-6;
+    return cfg;
+}
+
+TEST(Engine, StoppedRunLeavesLaterOneShotsForTheNextRun)
+{
+    // Regression: a stopped run() drained one-shot hooks up to the
+    // requested end, so a hook at 0.9 ms fired in a run that had
+    // stopped at 0.15 ms -- before the clock reached it.
+    Platform platform(fineConfig());
+    Engine engine(platform);
+    std::vector<double> late;
+    engine.at(0.1e-3, [&](double) { engine.requestStop(); });
+    engine.at(0.9e-3, [&](double t) { late.push_back(t); });
+    engine.run(1e-3);
+    EXPECT_NEAR(platform.now(), 0.15e-3, 1e-12);
+    EXPECT_TRUE(late.empty());
+    engine.run(1e-3);
+    ASSERT_EQ(late.size(), 1u);
+    EXPECT_DOUBLE_EQ(late[0], 0.9e-3);
+}
+
+TEST(Engine, OpenEndedRunStopsFromAHookAndDrainsDueOneShots)
+{
+    Platform platform(fineConfig());
+    Engine engine(platform);
+    std::vector<double> fired;
+    engine.at(0.3e-3, [&](double) { engine.requestStop(); });
+    // Due after the stopping hook, within the quantum it ends: the
+    // loop exits at 0.35 ms, and the drain fires this one.
+    engine.at(0.35e-3, [&](double t) { fired.push_back(t); });
+    engine.at(0.5e-3, [&](double t) { fired.push_back(t); });
+    engine.runOpenEnded();
+    EXPECT_NEAR(platform.now(), 0.35e-3, 1e-12);
+    ASSERT_EQ(fired.size(), 1u);
+    EXPECT_DOUBLE_EQ(fired[0], 0.35e-3);
+}
+
 TEST(EngineDeath, RejectsNullRunnable)
 {
     Platform platform(smallConfig());

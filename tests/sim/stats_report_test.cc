@@ -52,6 +52,22 @@ TEST(StatsReport, SinceComputesDeltas)
     EXPECT_DOUBLE_EQ(delta.now_seconds, 1e-3);
 }
 
+TEST(StatsReport, SumCoresAddsOnlyTheListedCores)
+{
+    Platform platform(testConfig());
+    platform.retire(0, 100);
+    platform.retire(2, 30);
+    platform.retire(3, 7);
+    platform.coreAccess(2, 4096, AccessType::Read);
+    platform.advanceQuantum(1e-3);
+    const auto snap = PlatformSnapshot::capture(platform);
+    const auto sum = snap.sumCores({0, 2});
+    EXPECT_EQ(sum.instructions, 130u);
+    EXPECT_EQ(sum.cycles, snap.cores[0].cycles + snap.cores[2].cycles);
+    EXPECT_EQ(sum.llc_refs, 1u);
+    EXPECT_EQ(snap.sumCores({}).instructions, 0u);
+}
+
 TEST(StatsReport, TablesSkipIdleCores)
 {
     Platform platform(testConfig());

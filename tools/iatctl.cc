@@ -339,7 +339,6 @@ cmdCluster(const CliArgs &args)
         static_cast<std::uint64_t>(args.getInt("dead-after", 8));
     cfg.scheduler.degraded_after_epochs = static_cast<std::uint64_t>(
         args.getInt("degraded-after", 4));
-    cfg.health.dead_after_epochs = cfg.scheduler.dead_after_epochs;
     cfg.shard.rate_pps = args.getDouble("rate", 1.5) * 1e6;
     cfg.shard.remote_rate_pps =
         args.getDouble("remote-rate", 0.5) * 1e6;
