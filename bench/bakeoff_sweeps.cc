@@ -219,8 +219,8 @@ bakeoffRunCase(core::PolicyKind kind, const std::string &scenario,
 namespace {
 
 /**
- * Bakeoff trial: one (scenario, policy) case; the `[fault]` plan of
- * the spec applies only when the `faults` axis value is non-zero,
+ * Bakeoff trial: one (scenario, policy) case under the spec's
+ * `[fault]` plan unless its `faults` param is 0 (trialFaulted()),
  * so one spec carries both the clean and the faulted campaigns.
  */
 exp::TrialResult
@@ -232,8 +232,7 @@ bakeoffTrial(const exp::TrialContext &ctx)
     if (!core::parsePolicyKind(policy_name, kind))
         throw std::runtime_error("unknown policy '" + policy_name +
                                  "'");
-    const bool faults = ctx.getInt("faults", 0) != 0;
-    const auto plan = faults
+    const auto plan = trialFaulted(ctx)
                           ? fault::FaultPlan::fromPairs(ctx.params)
                           : fault::FaultPlan{};
 

@@ -1,20 +1,19 @@
 /**
  * @file
- * Cluster scaling + bit-exactness check: runs the same 4-shard world
- * once with one worker thread (the reference interleaving) and once
- * with --threads workers (default: hardware concurrency), and
- * verifies the two digests are byte-identical -- the sharded world's
- * central contract (DESIGN.md SS15). Prints per-run wall time and
- * the parallel speedup.
+ * Cluster bit-exactness check: runs the same 4-shard world once with
+ * one worker thread (the reference interleaving) and once with
+ * --threads workers (default: hardware concurrency), and verifies
+ * the two digests are byte-identical -- the sharded world's central
+ * contract (DESIGN.md SS15). Prints the digest's FNV-1a 64 hash, so
+ * runs compare across commits, and each run's wall time and
+ * speed-up as a report.
  *
- * Exit status: non-zero whenever the digests differ. The speedup
- * assertion (>= --min-speedup, default 1.5x) is enforced only when
- * the machine actually has >= 4 hardware threads; on smaller hosts
- * (CI runners are often 1-2 vCPUs) the speedup is reported but not
- * gated, because there is nothing to scale onto.
+ * Exit status: non-zero exactly when the digests differ. Wall-clock
+ * speed-up depends on the host and is not gated here; perfbench's
+ * cluster4 workload measures it.
  *
  *   build/bench/cluster_scale [--shards=4] [--threads=0]
- *       [--epochs=200] [--seed=1] [--min-speedup=1.5] [--quick]
+ *       [--epochs=200] [--seed=1] [--quick] [--chaos]
  */
 
 #include <algorithm>
@@ -26,6 +25,7 @@
 
 #include "cluster/world.hh"
 #include "util/cli.hh"
+#include "util/hash.hh"
 
 namespace {
 
@@ -105,10 +105,9 @@ main(int argc, char **argv)
         threads = hw == 0 ? 1 : hw;
     if (threads > cfg.shards)
         threads = cfg.shards;
-    const double min_speedup = args.getDouble("min-speedup", 1.5);
 
-    args.declareKnown({"shards", "threads", "epochs", "seed",
-                       "min-speedup", "quick", "chaos"});
+    args.declareKnown({"shards", "threads", "epochs", "seed", "quick",
+                       "chaos"});
     args.warnUnknown();
 
     const bool chaos = args.getBool("chaos");
@@ -137,14 +136,12 @@ main(int argc, char **argv)
             counts.end())
         counts.push_back(threads);
 
-    double speedup = 1.0;
     for (unsigned t : counts) {
         const auto [par_digest, par_wall] =
             runWorld(cfg, t, epochs);
-        if (t == threads)
-            speedup = ref_wall / par_wall;
-        std::printf("  threads=%u: %.2f s (%.2fx)\n", t, par_wall,
-                    ref_wall / par_wall);
+        std::printf("  threads=%u: %.2f s (%.2fx speed-up, "
+                    "reported only)\n",
+                    t, par_wall, ref_wall / par_wall);
         if (par_digest != ref_digest) {
             std::printf("FAIL: digests differ between threads=1 "
                         "and threads=%u -- the epoch-barrier "
@@ -154,25 +151,11 @@ main(int argc, char **argv)
             return 1;
         }
     }
-    std::printf("  digests identical across %zu thread counts "
-                "(%zu bytes)\n",
-                counts.size() + 1, ref_digest.size());
-
-    // Scaling gate: only meaningful where parallelism exists. A
-    // 1-2 vCPU runner still checks bit-exactness above.
-    if (hw >= 4 && threads >= 2) {
-        if (speedup < min_speedup) {
-            std::printf("FAIL: speedup %.2fx < required %.2fx on a "
-                        "%u-thread machine\n",
-                        speedup, min_speedup, hw);
-            return 1;
-        }
-        std::printf("  speedup gate passed (>= %.2fx)\n",
-                    min_speedup);
-    } else {
-        std::printf("  speedup gate skipped (hw=%u, threads=%u)\n",
-                    hw, threads);
-    }
+    std::printf("  digests identical across %zu thread counts: "
+                "%016llx (%zu bytes)\n",
+                counts.size() + 1,
+                static_cast<unsigned long long>(fnv1a64(ref_digest)),
+                ref_digest.size());
     std::printf("OK\n");
     return 0;
 }

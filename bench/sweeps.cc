@@ -21,6 +21,12 @@
 
 namespace iat::bench {
 
+bool
+trialFaulted(const exp::TrialContext &ctx)
+{
+    return ctx.getInt("faults", 1) != 0;
+}
+
 double
 fig03ZeroLossRate(std::uint32_t frame_bytes, std::uint32_t ring_entries,
                   double window_scale, std::uint64_t seed)
@@ -214,12 +220,6 @@ chaosRunCase(core::PolicyKind kind, const fault::FaultPlan &plan,
 
     r.tx_mpps = tx_total / window_total / 1e6;
     r.hw_ddio_ways = platform.pqos().ddioGetWays().count();
-    for (std::size_t t = 0; t < world.registry().size(); ++t) {
-        r.hw_tenant_ways.push_back(
-            platform.pqos()
-                .l3caGet(static_cast<cache::ClosId>(t + 1))
-                .count());
-    }
     if (daemon) {
         const auto &d = *daemon;
         r.intended_ddio_ways = d.ddioWays();
@@ -348,15 +348,17 @@ l3fwdTrial(const exp::TrialContext &ctx)
 }
 
 /**
- * Chaos trial: the fig09 ramp under the spec's `[fault]` plan. The
- * `hardening` parameter (default on) is the A/B kill switch; the
- * `policy` parameter defaults to the full daemon, the subject of the
- * hardening work.
+ * Chaos trial: the fig09 ramp under the spec's `[fault]` plan (see
+ * trialFaulted()). The `hardening` parameter (default on) is the
+ * A/B kill switch; the `policy` parameter defaults to the full
+ * daemon, the subject of the hardening work.
  */
 exp::TrialResult
 chaosTrial(const exp::TrialContext &ctx)
 {
-    const auto plan = fault::FaultPlan::fromPairs(ctx.params);
+    const auto plan = trialFaulted(ctx)
+                          ? fault::FaultPlan::fromPairs(ctx.params)
+                          : fault::FaultPlan{};
     const bool hardening = ctx.getBool("hardening", true);
     const auto kind = ctx.find("policy") != nullptr
                           ? policyParam(ctx)
@@ -394,7 +396,8 @@ chaosTrial(const exp::TrialContext &ctx)
 
 /**
  * Cluster trial: a sharded multi-host world (cluster/world.hh) under
- * one placement policy. The `threads` parameter is the world's
+ * one placement policy and the spec's cluster `[fault]` plan (see
+ * trialFaulted()). The `threads` parameter is the world's
  * worker-thread count -- declared as a param so the campaign runner
  * caps its own job count (jobs x threads <= machine) and the record
  * carries it. Every metric is a simulation counter, so records stay
@@ -432,7 +435,8 @@ clusterTrial(const exp::TrialContext &ctx)
         static_cast<std::uint64_t>(ctx.getInt("migration_epochs", 4));
     cfg.migration_frames = static_cast<unsigned>(
         ctx.getInt("migration_frames", 64));
-    cfg.fault = fault::ClusterFaultPlan::fromPairs(ctx.params);
+    if (trialFaulted(ctx))
+        cfg.fault = fault::ClusterFaultPlan::fromPairs(ctx.params);
     cfg.shard.rate_pps = ctx.getDouble("rate_mpps", 1.5) * 1e6;
     cfg.shard.remote_rate_pps =
         ctx.getDouble("remote_rate_mpps", 0.5) * 1e6;
@@ -536,8 +540,8 @@ registerClusterSweeps(exp::TrialRegistry &registry)
                  "sharded multi-host world; params policy "
                  "(static|load|failover), shards, threads, "
                  "batch_tenants, epochs, margin, dead_after, "
-                 "rate_mpps, remote_rate_mpps, batch_ws_mib + "
-                 "cluster fault.* knobs (crash_host, drop_prob, "
+                 "rate_mpps, remote_rate_mpps, batch_ws_mib, faults "
+                 "+ cluster fault.* knobs (crash_host, drop_prob, "
                  "partition_cut, ...)",
                  clusterTrial);
 }
@@ -563,7 +567,7 @@ registerPaperSweeps(exp::TrialRegistry &registry)
                  l3fwdTrial);
     registry.add("chaos",
                  "Fig 9 agg_testpmd ramp under a [fault] plan; "
-                 "params policy, hardening + fault.* knobs",
+                 "params policy, hardening, faults + fault.* knobs",
                  chaosTrial);
 }
 

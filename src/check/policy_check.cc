@@ -33,8 +33,7 @@ policyViolation(const core::Policy &policy, rdt::PqosSystem &pqos,
     // carries a full allocator intent; check the ordered-segment/
     // shuffle invariants on it (valid even under injected faults --
     // intent is not hardware) plus the DDIO band the daemon believes
-    // it programmed. This mirrors what the world fuzzer always
-    // asserted for the daemon.
+    // it programmed, then the hardware rules below like every kind.
     if (contract.shuffle_invariants) {
         const auto &daemon = *policy.daemon();
         auto v = allocationViolation(daemon.allocator(),
@@ -48,7 +47,6 @@ policyViolation(const core::Policy &policy, rdt::PqosSystem &pqos,
                    std::to_string(params.ddio_ways_min) + ", " +
                    std::to_string(params.ddio_ways_max) + "]";
         }
-        return {};
     }
 
     const unsigned num_ways = pqos.l3NumWays();

@@ -37,15 +37,15 @@ namespace iat::check {
 /**
  * Check @p policy's declared contract against the hardware state in
  * @p pqos for the tenants of @p registry. A contract that promises
- * shuffle_invariants (the IAT kinds) is checked on the daemon's
- * allocator intent instead -- the ordered-segment invariants and the
- * DDIO band it believes it programmed -- which holds even under
- * injected faults. For every other kind, with @p strict false (the
- * trial injected MSR write rejections) only mask validity is checked,
- * because a transiently rejected write legitimately leaves a stale
- * (possibly overlapping) mask in hardware until the policy's retry
- * path repairs it. Returns an empty string when the contract holds,
- * else the first violation.
+ * shuffle_invariants (the IAT kinds) is first checked on the
+ * daemon's allocator intent -- the ordered-segment invariants and
+ * the DDIO band it believes it programmed -- which holds even under
+ * injected faults. Every kind is then checked on the registers. With
+ * @p strict false (the trial injected MSR write rejections) only
+ * mask validity is checked there, because a transiently rejected
+ * write legitimately leaves a stale (possibly overlapping) mask in
+ * hardware until the policy's retry path repairs it. Returns an
+ * empty string when the contract holds, else the first violation.
  */
 std::string policyViolation(const core::Policy &policy,
                             rdt::PqosSystem &pqos,

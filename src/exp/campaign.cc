@@ -140,6 +140,8 @@ runCampaign(const ExperimentSpec &spec, const TrialRegistry &registry,
     if (summary.complete && !canonicalizeResults(summary.results_path))
         throw std::runtime_error("cannot rewrite " +
                                  summary.results_path);
+    summary.verdicts = checkExpectations(
+        spec.expect, readRecordsFile(summary.results_path));
 
     if (!writeManifest(summary.manifest_path, spec, scale, stats))
         throw std::runtime_error("cannot write " +

@@ -44,6 +44,9 @@ struct CampaignSummary
     /** Every trial has a record; results.jsonl is in canonical
      *  (trial-index) order. */
     bool complete = false;
+    /** The spec's [expect] lines checked against every record in
+     *  results.jsonl, resumed ones included. */
+    std::vector<ExpectVerdict> verdicts;
 };
 
 /**

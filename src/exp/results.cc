@@ -1,10 +1,12 @@
 /**
  * @file
- * Record serialization, the resume reader, and the manifest writer.
+ * Record serialization, the resume reader, the `[expect]` checker
+ * and the manifest writer.
  */
 
 #include "exp/results.hh"
 
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <fstream>
@@ -91,6 +93,18 @@ readRecords(const std::string &jsonl_text)
         info.status = status->string == "ok" ? TrialStatus::Ok
                                              : TrialStatus::Failed;
         info.line = line;
+        if (const auto *params = value->find("params")) {
+            for (const auto &[key, v] : params->members) {
+                if (v->kind == json::Value::Kind::String)
+                    info.params.emplace_back(key, v->string);
+            }
+        }
+        if (const auto *metrics = value->find("metrics")) {
+            for (const auto &[key, v] : metrics->members) {
+                if (v->kind == json::Value::Kind::Number)
+                    info.metrics.emplace_back(key, v->number);
+            }
+        }
         records.push_back(std::move(info));
     }
     return records;
@@ -154,6 +168,113 @@ ensureTrailingNewline(const std::string &path)
         return false;
     out << '\n';
     return static_cast<bool>(out);
+}
+
+namespace {
+
+std::vector<const RecordInfo *>
+select(const MetricRef &ref, const std::vector<RecordInfo> &records)
+{
+    std::vector<const RecordInfo *> out;
+    for (const auto &record : records) {
+        const auto matches = [&](const auto &pair) {
+            return std::find(record.params.begin(), record.params.end(),
+                             pair) != record.params.end();
+        };
+        if (std::all_of(ref.selector.begin(), ref.selector.end(),
+                        matches))
+            out.push_back(&record);
+    }
+    return out;
+}
+
+/** @p record's @p metric, or nullptr with @p why saying so. */
+const double *
+metricOf(const RecordInfo &record, const std::string &metric,
+         std::string &why)
+{
+    for (const auto &[name, value] : record.metrics) {
+        if (name == metric)
+            return &value;
+    }
+    why = "trial " + std::to_string(record.trial) + " has no metric '" +
+          metric + "'";
+    return nullptr;
+}
+
+bool
+holds(double lhs, Expectation::Op op, double rhs)
+{
+    switch (op) {
+      case Expectation::Op::Eq: return lhs == rhs;
+      case Expectation::Op::Lt: return lhs < rhs;
+      case Expectation::Op::Le: return lhs <= rhs;
+      case Expectation::Op::Gt: return lhs > rhs;
+      case Expectation::Op::Ge: return lhs >= rhs;
+    }
+    return false;
+}
+
+std::string
+shortNumber(double value)
+{
+    char buf[32];
+    std::snprintf(buf, sizeof(buf), "%.6g", value);
+    return buf;
+}
+
+ExpectVerdict
+check(const Expectation &e, const std::vector<RecordInfo> &records)
+{
+    ExpectVerdict v{false, e.text(), {}};
+    double rhs = e.number;
+    if (!e.rhs.metric.empty()) {
+        const auto hits = select(e.rhs, records);
+        if (hits.size() != 1) {
+            v.detail = "right side selects " +
+                       std::to_string(hits.size()) +
+                       " records, needs exactly 1";
+            return v;
+        }
+        const double *value = metricOf(*hits[0], e.rhs.metric, v.detail);
+        if (!value)
+            return v;
+        rhs = *value;
+    }
+    rhs *= e.factor;
+
+    const auto lhs = select(e.lhs, records);
+    if (lhs.empty())
+        v.detail = "left side selects no records";
+    for (const auto *record : lhs) {
+        const double *value = metricOf(*record, e.lhs.metric, v.detail);
+        if (!value)
+            return v;
+        v.detail = shortNumber(*value) + " vs " + shortNumber(rhs);
+        if (!holds(*value, e.op, rhs)) {
+            v.detail = "trial " + std::to_string(record->trial) + ": " +
+                       v.detail;
+            return v;
+        }
+    }
+    v.pass = !lhs.empty();
+    if (lhs.size() > 1) {
+        v.detail = std::to_string(lhs.size()) + " records vs " +
+                   shortNumber(rhs);
+    }
+    return v;
+}
+
+} // namespace
+
+std::vector<ExpectVerdict>
+checkExpectations(const std::vector<Expectation> &expect,
+                  const std::vector<RecordInfo> &records)
+{
+    std::vector<ExpectVerdict> verdicts;
+    for (const auto &e : expect)
+        verdicts.push_back(check(e, records));
+    return verdicts;
 }
 
 bool

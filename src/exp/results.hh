@@ -58,13 +58,16 @@ std::string serializeRecord(const std::string &spec_hash,
                             const TrialContext &ctx,
                             const TrialOutcome &outcome);
 
-/** A record read back from results.jsonl (resume path). */
+/** A record read back from results.jsonl (resume and [expect]). */
 struct RecordInfo
 {
     std::string spec_hash;
     std::size_t trial = 0;
     TrialStatus status = TrialStatus::Ok;
     std::string line; ///< the verbatim record text
+    std::vector<std::pair<std::string, std::string>> params;
+    /** Metrics in record order; a null (non-finite) one is left out. */
+    std::vector<std::pair<std::string, double>> metrics;
 };
 
 /**
@@ -120,6 +123,25 @@ struct RunStats
  */
 bool writeManifest(const std::string &path, const ExperimentSpec &spec,
                    double scale, const RunStats &stats);
+
+/** One `[expect]` line's outcome over a campaign's records. */
+struct ExpectVerdict
+{
+    bool pass = false;
+    std::string text;   ///< the expectation, canonical form
+    std::string detail; ///< the values compared, or why it failed
+};
+
+/**
+ * Check each of @p expect against @p records, in order. A line
+ * fails when its left side selects no record, a right-side metric
+ * selects other than exactly one, a selected record lacks the
+ * metric (or holds null), or the comparison is false on any
+ * left-side record.
+ */
+std::vector<ExpectVerdict>
+checkExpectations(const std::vector<Expectation> &expect,
+                  const std::vector<RecordInfo> &records);
 
 /** Shortest %.17g rendering; non-finite values become null. */
 std::string jsonNumber(double value);

@@ -5,10 +5,14 @@
 
 #include "exp/spec.hh"
 
+#include <algorithm>
 #include <cctype>
+#include <charconv>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <regex>
 #include <sstream>
 
 #include "util/hash.hh"
@@ -61,7 +65,96 @@ specError(const std::string &origin, unsigned line,
     throw SpecError(origin + ":" + std::to_string(line) + ": " + what);
 }
 
+const char *const kOps[] = {"==", "<", "<=", ">", ">="};
+
+/** metric[selector] op [factor *] (number | metric[selector]) */
+const std::regex &
+expectGrammar()
+{
+    static const std::string ref = R"(([^\s\[\]=<>!*,]+)(?:\[([^\]]*)\])?)";
+    static const std::string num = R"(([-+.\d][^\s*]*))";
+    static const std::regex grammar("^" + ref + R"(\s*(==|<=|>=|<|>)\s*)" +
+                                    "(?:" + num + R"(\s*\*\s*)?)" +
+                                    "(?:" + num + "|" + ref + ")$");
+    return grammar;
+}
+
+double
+parseNumber(const std::string &token)
+{
+    char *end = nullptr;
+    const double value = std::strtod(token.c_str(), &end);
+    if (*end != '\0' || !std::isfinite(value))
+        throw SpecError("expected a number, got '" + token + "'");
+    return value;
+}
+
+MetricRef
+parseRef(const std::string &metric, const std::string &selector)
+{
+    MetricRef ref{metric, {}};
+    for (const auto &pair : splitValues(selector)) {
+        const auto eq = pair.find('=');
+        if (eq == std::string::npos || eq == 0 || eq + 1 == pair.size() ||
+            pair.find('=', eq + 1) != std::string::npos)
+            throw SpecError("selector expects param=value, got '" + pair +
+                            "'");
+        ref.selector.emplace_back(pair.substr(0, eq), pair.substr(eq + 1));
+    }
+    return ref;
+}
+
+std::string
+formatNumber(double value)
+{
+    char buf[32];
+    return std::string(buf, std::to_chars(buf, buf + sizeof(buf), value).ptr);
+}
+
+std::string
+refText(const MetricRef &ref)
+{
+    std::string out = ref.metric;
+    for (std::size_t k = 0; k < ref.selector.size(); ++k)
+        out += (k ? "," : "[") + ref.selector[k].first + "=" +
+               ref.selector[k].second;
+    return ref.selector.empty() ? out : out + "]";
+}
+
 } // namespace
+
+Expectation
+Expectation::parse(const std::string &line)
+{
+    std::smatch m;
+    if (!std::regex_match(line, m, expectGrammar()))
+        throw SpecError("'" + line + "' is not metric[selector] op "
+                        "[factor *] (number | metric[selector]), op "
+                        "one of == < <= > >=");
+    Expectation e;
+    e.lhs = parseRef(m[1], m[2]);
+    e.op = static_cast<Op>(std::find(std::begin(kOps), std::end(kOps),
+                                     m[3].str()) -
+                           std::begin(kOps));
+    if (m[4].matched)
+        e.factor = parseNumber(m[4]);
+    if (m[5].matched)
+        e.number = parseNumber(m[5]);
+    else
+        e.rhs = parseRef(m[6], m[7]);
+    return e;
+}
+
+std::string
+Expectation::text() const
+{
+    std::string out =
+        refText(lhs) + " " + kOps[static_cast<int>(op)] + " ";
+    if (factor != 1.0)
+        out += formatNumber(factor) + " * ";
+    return out + (rhs.metric.empty() ? formatNumber(number)
+                                     : refText(rhs));
+}
 
 std::uint64_t
 deriveTrialSeed(std::uint64_t campaign_seed, std::uint64_t trial_index)
@@ -84,7 +177,7 @@ ExperimentSpec
 ExperimentSpec::parse(const std::string &text, const std::string &origin)
 {
     ExperimentSpec spec;
-    enum class Section { Top, Params, Axis, Fault } section =
+    enum class Section { Top, Params, Axis, Fault, Expect } section =
         Section::Top;
 
     std::istringstream in(text);
@@ -109,9 +202,20 @@ ExperimentSpec::parse(const std::string &text, const std::string &origin)
                 section = Section::Axis;
             else if (name == "fault")
                 section = Section::Fault;
+            else if (name == "expect")
+                section = Section::Expect;
             else
                 specError(origin, lineno,
                           "unknown section '[" + name + "]'");
+            continue;
+        }
+
+        if (section == Section::Expect) {
+            try {
+                spec.expect.push_back(Expectation::parse(line));
+            } catch (const SpecError &e) {
+                specError(origin, lineno, e.what());
+            }
             continue;
         }
 
@@ -170,6 +274,8 @@ ExperimentSpec::parse(const std::string &text, const std::string &origin)
                 }
             }
             spec.fault.emplace_back(key, value);
+            break;
+          case Section::Expect:
             break;
           case Section::Axis: {
             for (const auto &axis : spec.axes) {
@@ -274,6 +380,11 @@ ExperimentSpec::serialize() const
         out << "\n[fault]\n";
         for (const auto &[key, value] : fault)
             out << key << " = " << value << '\n';
+    }
+    if (!expect.empty()) {
+        out << "\n[expect]\n";
+        for (const auto &e : expect)
+            out << e.text() << '\n';
     }
     return out.str();
 }

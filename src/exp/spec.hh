@@ -25,6 +25,25 @@
  *   read_noise = 0.2             # fault::FaultPlan knobs, see
  *   write_reject = 0.2           # src/fault/plan.hh
  *
+ *   [expect]                     # optional campaign verdicts
+ *   rate[ring_entries=64] < 0.1 * rate[ring_entries=1024]
+ *   jain > 0                     # on every record
+ *
+ * An `[expect]` line is one comparison,
+ *
+ *   metric[selector] op [factor *] (number | metric[selector])
+ *
+ * with op one of == < <= > >=. A selector is a list of param=value
+ * pairs (separated by commas and/or whitespace) that a record's
+ * params must all match; no selector means every record. The left
+ * side must select at least one record and hold on each of them; a
+ * right-side metric must select exactly one record. A right-side
+ * token that starts with a digit, sign or '.' is a number. There is
+ * no other arithmetic. `iatexp run` checks the lines against the
+ * finished results.jsonl (exp/results.hh). They are verdicts about a
+ * campaign, not part of its identity, so they stay out of
+ * canonical() and spec_hash.
+ *
  * Expansion order is the file's: the first axis varies slowest, the
  * last fastest, so trial indices are stable as long as the spec text
  * is. Trial seeds come from the campaign seed: in `derived` mode
@@ -68,6 +87,40 @@ struct AxisSpec
 };
 
 /**
+ * One side of an `[expect]` comparison: @p metric of the records
+ * whose params match every @p selector pair (empty: every record).
+ */
+struct MetricRef
+{
+    std::string metric;
+    std::vector<std::pair<std::string, std::string>> selector;
+
+    bool operator==(const MetricRef &) const = default;
+};
+
+/** One `[expect]` line: lhs op factor * rhs (see the file comment). */
+struct Expectation
+{
+    enum class Op { Eq, Lt, Le, Gt, Ge };
+
+    MetricRef lhs;
+    Op op = Op::Eq;
+    double factor = 1.0;
+    /** The right side: this metric when rhs.metric is non-empty,
+     *  else @p number. */
+    MetricRef rhs;
+    double number = 0.0;
+
+    /** Parse one line; throws SpecError saying what is malformed. */
+    static Expectation parse(const std::string &line);
+
+    /** The line in canonical form; parse(text()) == *this. */
+    std::string text() const;
+
+    bool operator==(const Expectation &) const = default;
+};
+
+/**
  * Trial seed derivation: position @p trial_index of the splitmix64
  * stream seeded with @p campaign_seed (splitmix64's increment is a
  * constant gamma, so the stream can be jumped to any slot in O(1)).
@@ -102,6 +155,9 @@ struct ExperimentSpec
      */
     std::vector<std::pair<std::string, std::string>> fault;
 
+    /** The `[expect]` section, in file order. Outside canonical(). */
+    std::vector<Expectation> expect;
+
     /** Parse spec text; throws SpecError with @p origin + line info. */
     static ExperimentSpec parse(const std::string &text,
                                 const std::string &origin = "<spec>");
@@ -115,10 +171,11 @@ struct ExperimentSpec
     /**
      * Canonical one-line-per-field rendering of everything that
      * defines trial identity (name, sweep, seed, seed mode, scale,
-     * constants, axes). Two campaigns with equal canonical text are
-     * the same campaign; its FNV-1a hash is the spec_hash stamped
-     * into every result record, which is how --resume refuses to mix
-     * records from different sweeps in one directory.
+     * constants, axes, fault knobs; not the expectations). Two
+     * campaigns with equal canonical text are the same campaign; its
+     * FNV-1a hash is the spec_hash stamped into every result record,
+     * which is how --resume refuses to mix records from different
+     * sweeps in one directory.
      */
     std::string canonical(double scale) const;
 

@@ -190,6 +190,41 @@ TEST(Campaign, ResumeSkipsFinishedTrials)
     std::filesystem::remove_all(dir);
 }
 
+TEST(Campaign, ExpectationsCoverResumedRecords)
+{
+    const auto dir = testDir();
+    // val = a * b: 10..60 over the six trials.
+    const auto spec = ExperimentSpec::parse(
+        std::string(kSpecText) +
+        "[expect]\n"
+        "val >= 10\n"
+        "val[a=2] > 1.5 * val[a=1,b=10]\n"
+        "val[b=10] < 20\n");
+    ASSERT_EQ(spec.hash(1.0), ExperimentSpec::parse(kSpecText).hash(1.0));
+    const auto registry = toyRegistry();
+
+    const auto first =
+        runCampaign(spec, registry, makeOptions(dir, 1));
+    ASSERT_EQ(first.verdicts.size(), 3u);
+    EXPECT_TRUE(first.verdicts[0].pass) << first.verdicts[0].detail;
+    EXPECT_TRUE(first.verdicts[1].pass) << first.verdicts[1].detail;
+    // a=2,b=10 gives 20: the third line fails on trial 3.
+    EXPECT_FALSE(first.verdicts[2].pass);
+    EXPECT_EQ(first.verdicts[2].detail, "trial 3: 20 vs 20");
+
+    // A resume that runs nothing checks the recorded trials.
+    auto options = makeOptions(dir, 2);
+    options.resume = true;
+    const auto second = runCampaign(spec, registry, options);
+    EXPECT_EQ(second.stats.ran, 0u);
+    ASSERT_EQ(second.verdicts.size(), 3u);
+    EXPECT_TRUE(second.verdicts[0].pass);
+    EXPECT_EQ(second.verdicts[0].detail, "6 records vs 10");
+    EXPECT_FALSE(second.verdicts[2].pass);
+
+    std::filesystem::remove_all(dir);
+}
+
 TEST(Campaign, ResumeRunsOnlyMissingTrials)
 {
     const auto dir = testDir();

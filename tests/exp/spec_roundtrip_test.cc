@@ -77,7 +77,7 @@ TEST(SpecRoundTrip, CorpusCoversTheFormatFeatures)
     // Sanity-check that the corpus actually exercises the features the
     // round-trip claims to cover, so a gutted corpus can't pass.
     bool saw_axis = false, saw_fault = false, saw_shared = false;
-    bool saw_hex_seed = false;
+    bool saw_hex_seed = false, saw_expect = false;
     for (const auto &file : corpusFiles(".")) {
         const ExperimentSpec spec =
             ExperimentSpec::parse(slurp(file), file.string());
@@ -85,11 +85,13 @@ TEST(SpecRoundTrip, CorpusCoversTheFormatFeatures)
         saw_fault |= !spec.fault.empty();
         saw_shared |= spec.seed_mode == SeedMode::Shared;
         saw_hex_seed |= spec.seed == 0xdeadbeefull;
+        saw_expect |= !spec.expect.empty();
     }
     EXPECT_TRUE(saw_axis);
     EXPECT_TRUE(saw_fault);
     EXPECT_TRUE(saw_shared);
     EXPECT_TRUE(saw_hex_seed);
+    EXPECT_TRUE(saw_expect);
 }
 
 TEST(SpecRoundTrip, BadCorpusIsRejected)
@@ -144,6 +146,26 @@ randomSpec(iat::Rng &rng)
     if (rng.below(2)) {
         spec.fault.emplace_back("read_noise", "0.1");
         spec.fault.emplace_back("seed", std::to_string(rng.below(100)));
+    }
+    const std::size_t n_expect = rng.below(4);
+    for (std::size_t i = 0; i < n_expect; ++i) {
+        iat::exp::Expectation e;
+        e.lhs.metric = "m" + randomToken(rng);
+        for (std::size_t k = rng.below(3); k > 0; --k)
+            e.lhs.selector.emplace_back("ax" + std::to_string(k),
+                                        randomToken(rng));
+        e.op = static_cast<iat::exp::Expectation::Op>(rng.below(5));
+        if (rng.below(2))
+            e.factor = static_cast<double>(rng.below(1000)) / 8.0;
+        if (rng.below(2)) {
+            e.rhs.metric = "r" + randomToken(rng);
+            e.rhs.selector.emplace_back("p0", randomToken(rng));
+        } else {
+            // Any finite double round-trips through text().
+            e.number = (static_cast<double>(rng.next() >> 11) -
+                        4.5e15) / 3.0e7;
+        }
+        spec.expect.push_back(std::move(e));
     }
     return spec;
 }

@@ -93,6 +93,97 @@ TEST(Spec, ErrorCarriesOriginAndLine)
     }
 }
 
+TEST(Spec, ParseExpect)
+{
+    const auto spec = ExperimentSpec::parse(
+        "sweep = t\n"
+        "[expect]\n"
+        "tx[faults=1, hardening=1] >= 0.9 * tx[faults=0 hardening=1]\n"
+        "jain<=1\n"
+        "drift[faults=0] == 0\n");
+    ASSERT_EQ(spec.expect.size(), 3u);
+    const auto &ab = spec.expect[0];
+    EXPECT_EQ(ab.lhs.metric, "tx");
+    EXPECT_EQ(ab.lhs.selector,
+              (std::vector<std::pair<std::string, std::string>>{
+                  {"faults", "1"}, {"hardening", "1"}}));
+    EXPECT_EQ(ab.op, Expectation::Op::Ge);
+    EXPECT_EQ(ab.factor, 0.9);
+    EXPECT_EQ(ab.rhs.metric, "tx");
+    EXPECT_EQ(ab.rhs.selector.size(), 2u);
+    EXPECT_EQ(ab.text(),
+              "tx[faults=1,hardening=1] >= 0.9 * tx[faults=0,hardening=1]");
+    EXPECT_EQ(spec.expect[1].op, Expectation::Op::Le);
+    EXPECT_TRUE(spec.expect[1].lhs.selector.empty());
+    EXPECT_TRUE(spec.expect[1].rhs.metric.empty());
+    EXPECT_EQ(spec.expect[1].number, 1.0);
+    EXPECT_EQ(spec.expect[2].text(), "drift[faults=0] == 0");
+}
+
+TEST(Spec, ExpectErrorsNameTheLine)
+{
+    const struct
+    {
+        const char *line;
+        const char *error;
+    } bad[] = {
+        {"jain = 1", "'jain = 1' is not metric[selector] op"},
+        {"jain != 1", "is not metric[selector] op"},
+        {"jain => 1", "is not metric[selector] op"},
+        {"jain", "is not metric[selector] op"},
+        {"jain 0.5", "is not metric[selector] op"},
+        {"tx[faults=1 < 2", "is not metric[selector] op"},
+        {"tx [faults=1] < 2", "is not metric[selector] op"},
+        {"jain <", "is not metric[selector] op"},
+        {"jain < 2 *", "is not metric[selector] op"},
+        {"jain < 1 2", "is not metric[selector] op"},
+        {"< 1", "is not metric[selector] op"},
+        {"tx[faults] < 2", "selector expects param=value, got 'faults'"},
+        {"tx[=1] < 2", "selector expects param=value"},
+        {"tx < y[a=1=2]", "selector expects param=value"},
+        {"jain < 1x", "expected a number, got '1x'"},
+        {"jain < 1e999", "expected a number, got '1e999'"},
+        {"jain < 0.5x * y", "expected a number, got '0.5x'"},
+    };
+    for (const auto &b : bad) {
+        SCOPED_TRACE(b.line);
+        try {
+            ExperimentSpec::parse(
+                std::string("sweep = t\n[expect]\n") + b.line + "\n",
+                "x.exp");
+            ADD_FAILURE() << "expected SpecError";
+        } catch (const SpecError &e) {
+            const std::string what = e.what();
+            EXPECT_NE(what.find("x.exp:3: "), std::string::npos) << what;
+            EXPECT_NE(what.find(b.error), std::string::npos) << what;
+        }
+    }
+}
+
+TEST(Spec, ExpectLeavesHashAndExpansionUnchanged)
+{
+    const std::string text = "name = ab\nsweep = chaos\nseed = 3\n"
+                             "[axis]\nfaults = 1 0\n"
+                             "[fault]\nwrite_reject = 0.25\n";
+    const auto plain = ExperimentSpec::parse(text);
+    const auto gated = ExperimentSpec::parse(
+        text + "[expect]\ntx[faults=1] >= 0.9 * tx[faults=0]\n");
+    ASSERT_EQ(gated.expect.size(), 1u);
+    EXPECT_NE(plain, gated);
+    for (const double scale : {1.0, 0.3}) {
+        EXPECT_EQ(plain.canonical(scale), gated.canonical(scale));
+        EXPECT_EQ(plain.hash(scale), gated.hash(scale));
+        const auto a = plain.expand(scale);
+        const auto b = gated.expand(scale);
+        ASSERT_EQ(a.size(), b.size());
+        for (std::size_t i = 0; i < a.size(); ++i) {
+            EXPECT_EQ(a[i].seed, b[i].seed);
+            EXPECT_EQ(a[i].params, b[i].params);
+            EXPECT_EQ(a[i].fault_hash, b[i].fault_hash);
+        }
+    }
+}
+
 TEST(Spec, ExpansionOrderLastAxisFastest)
 {
     const auto spec = ExperimentSpec::parse(

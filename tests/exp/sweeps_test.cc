@@ -48,7 +48,7 @@ TEST(Sweeps, ShippedSpecsParseAndResolve)
         {"fig09_flow_count.exp", "fig09", 2},
         {"fig10_shuffle.exp", "fig10", 12},
         {"smoke.exp", "l3fwd", 4},
-        {"chaos.exp", "chaos", 2},
+        {"chaos.exp", "chaos", 4},
     };
     for (const auto &e : expected) {
         const auto spec = exp::ExperimentSpec::loadFile(

@@ -72,8 +72,9 @@ TEST(Chaos, HardenedCampaignSurvivesWithBoundedLoss)
               0u);
 
     // Bounded throughput loss. The acceptance gate proper (>= 0.90)
-    // runs at full scale in bench/chaos_ab; at this tiny scale the
-    // settle windows are short so we assert a looser floor.
+    // is chaos.exp's [expect] section, run through iatexp; at this
+    // tiny scale the settle windows are short so we assert a looser
+    // floor.
     EXPECT_GE(chaos.tx_mpps, 0.70 * clean.tx_mpps);
 
     // The hardened daemon never leaves intent and hardware apart.
@@ -92,7 +93,6 @@ TEST(Chaos, ReplayIsDeterministic)
     EXPECT_EQ(a.hw_ddio_ways, b.hw_ddio_ways);
     EXPECT_EQ(a.intended_ddio_ways, b.intended_ddio_ways);
     EXPECT_EQ(a.mask_drift_ways, b.mask_drift_ways);
-    EXPECT_EQ(a.hw_tenant_ways, b.hw_tenant_ways);
     EXPECT_EQ(a.degraded_enters, b.degraded_enters);
     EXPECT_EQ(a.degraded_exits, b.degraded_exits);
     EXPECT_EQ(a.missed_polls, b.missed_polls);
@@ -135,6 +135,45 @@ TEST(Chaos, TrialReplayThroughTheRegistryIsByteIdentical)
     EXPECT_EQ(a.metrics, b.metrics);
     // The per-trial plan digest is stamped and stable.
     EXPECT_EQ(ctx.fault_hash.size(), 16u);
+}
+
+TEST(Chaos, FaultsParamZeroRunsWithoutThePlan)
+{
+    exp::TrialRegistry registry;
+    registerPaperSweeps(registry);
+    const auto *entry = registry.find("chaos");
+    ASSERT_NE(entry, nullptr);
+
+    // chaos.exp's first trial: faults=1, hardening=1.
+    const auto spec = exp::ExperimentSpec::loadFile(
+        std::string(IATSIM_SOURCE_DIR) + "/experiments/chaos.exp");
+    auto ctx = spec.expand(kScale).front();
+    ASSERT_NE(ctx.find("faults"), nullptr);
+    ASSERT_EQ(*ctx.find("faults"), "1");
+    const auto metric = [](const exp::TrialResult &r,
+                           const std::string &name) {
+        for (const auto &[key, value] : r.metrics) {
+            if (key == name)
+                return value;
+        }
+        return -1.0;
+    };
+    EXPECT_GT(metric(entry->fn(ctx), "write_rejects"), 0.0);
+
+    // The same trial with faults=0 keeps the plan's knobs in its
+    // params but runs the fault-free ramp.
+    for (auto &[key, value] : ctx.params) {
+        if (key == "faults")
+            value = "0";
+    }
+    const auto clean = entry->fn(ctx);
+    EXPECT_EQ(metric(clean, "write_rejects"), 0.0);
+    EXPECT_EQ(metric(clean, "read_faults"), 0.0);
+    EXPECT_EQ(metric(clean, "churn_events"), 0.0);
+    EXPECT_EQ(metric(clean, "tx_mpps"),
+              chaosRunCase(kIat, fault::FaultPlan{}, true, kScale,
+                           ctx.seed)
+                  .tx_mpps);
 }
 
 TEST(Chaos, UnhardenedDaemonMisallocates)

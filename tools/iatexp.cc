@@ -13,7 +13,11 @@
  *       times and run stats go to DIR/manifest.json. --resume skips
  *       trials whose records already exist, so a killed campaign
  *       restarts where it stopped; --retry-failed additionally
- *       reruns failed trials.
+ *       reruns failed trials. Then every `[expect]` line of the spec
+ *       is checked against the finished results.jsonl, resumed
+ *       records included, with one verdict printed per line. The
+ *       exit status is 1 if a trial failed or an expectation did
+ *       not hold.
  *
  *   iatexp expand <spec.exp> [--quick] [--seed=S]
  *       Print the trial list (index, seed, parameters) without
@@ -46,7 +50,8 @@ usage()
 {
     std::printf(
         "usage: iatexp <command> [flags]\n"
-        "  run <spec.exp>     run a campaign\n"
+        "  run <spec.exp>     run a campaign, then check its "
+        "[expect] lines\n"
         "      --out=DIR      results directory "
         "(default campaign-<name>)\n"
         "      --jobs=N       worker threads "
@@ -147,7 +152,18 @@ cmdRun(const CliArgs &args)
                 summary.complete ? " (canonical order)"
                                  : " (incomplete)");
     std::printf("manifest %s\n", summary.manifest_path.c_str());
-    return summary.stats.failed == 0 && summary.complete ? 0 : 1;
+    std::size_t held = 0;
+    for (const auto &v : summary.verdicts) {
+        std::printf("expect %-4s %s  (%s)\n", v.pass ? "ok" : "FAIL",
+                    v.text.c_str(), v.detail.c_str());
+        held += v.pass ? 1 : 0;
+    }
+    if (!summary.verdicts.empty())
+        std::printf("expectations: %zu of %zu hold\n", held,
+                    summary.verdicts.size());
+    const bool ok = summary.stats.failed == 0 && summary.complete &&
+                    held == summary.verdicts.size();
+    return ok ? 0 : 1;
 }
 
 } // namespace
