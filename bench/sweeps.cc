@@ -220,6 +220,12 @@ chaosRunCase(core::PolicyKind kind, const fault::FaultPlan &plan,
 
     r.tx_mpps = tx_total / window_total / 1e6;
     r.hw_ddio_ways = platform.pqos().ddioGetWays().count();
+    for (std::size_t t = 0; t < world.registry().size(); ++t) {
+        r.hw_tenant_ways.push_back(
+            platform.pqos()
+                .l3caGet(static_cast<cache::ClosId>(t + 1))
+                .count());
+    }
     if (daemon) {
         const auto &d = *daemon;
         r.intended_ddio_ways = d.ddioWays();
@@ -587,15 +593,18 @@ fuzzLlcSweepTrial(const exp::TrialContext &ctx)
     return result;
 }
 
-/** One world fuzz trial under the spec's [fault] plan, if any. The
- *  optional `policy` constant (written by repro files shrunk under
- *  --policy) selects which controller the world runs. */
+/** One world fuzz trial under the spec's [fault] plan, if any (see
+ *  trialFaulted()). The optional `policy` constant (written by
+ *  repro files shrunk under --policy) selects which controller the
+ *  world runs. */
 exp::TrialResult
 fuzzWorldSweepTrial(const exp::TrialContext &ctx)
 {
     const auto ops =
         static_cast<std::uint64_t>(ctx.getInt("ops", 200));
-    const auto plan = fault::FaultPlan::fromPairs(ctx.params);
+    const auto plan = trialFaulted(ctx)
+                          ? fault::FaultPlan::fromPairs(ctx.params)
+                          : fault::FaultPlan{};
     core::PolicyKind kind = core::PolicyKind::Iat;
     if (const auto *name = ctx.find("policy")) {
         if (!core::parsePolicyKind(*name, kind))
@@ -652,7 +661,8 @@ registerValidationSweeps(exp::TrialRegistry &registry)
                  fuzzLlcSweepTrial);
     registry.add("fuzz_world",
                  "policy world fuzz trial (invariants + oracle); "
-                 "param ops, optional policy + fault.* knobs",
+                 "param ops, optional policy, faults + fault.* "
+                 "knobs",
                  fuzzWorldSweepTrial);
     registry.add("fuzz_approx",
                  "exact-vs-approx LLC acceptance-band trial; params "

@@ -29,8 +29,8 @@ namespace iat::bench {
 /**
  * Whether a trial runs its spec's `[fault]` plan: it does unless its
  * `faults` param is 0, the fault A/B axis of bakeoff.exp, chaos.exp
- * and cluster_chaos.exp. The bakeoff, chaos and cluster trials all
- * ask here.
+ * and cluster_chaos.exp. The bakeoff, chaos, cluster and fuzz_world
+ * trials all ask here.
  */
 bool trialFaulted(const exp::TrialContext &ctx);
 
@@ -84,6 +84,10 @@ struct ChaosResult
      * happens to repair the register.
      */
     unsigned mask_drift_ways = 0;
+
+    /** Hardware tenant ways at run end (index = tenant), for
+     *  comparing end allocations across A/B rows. */
+    std::vector<unsigned> hw_tenant_ways;
 
     /// @name Daemon hardening counters (zero for non-IAT policies)
     /// @{

@@ -215,14 +215,6 @@ holds(double lhs, Expectation::Op op, double rhs)
     return false;
 }
 
-std::string
-shortNumber(double value)
-{
-    char buf[32];
-    std::snprintf(buf, sizeof(buf), "%.6g", value);
-    return buf;
-}
-
 ExpectVerdict
 check(const Expectation &e, const std::vector<RecordInfo> &records)
 {
@@ -250,7 +242,7 @@ check(const Expectation &e, const std::vector<RecordInfo> &records)
         const double *value = metricOf(*record, e.lhs.metric, v.detail);
         if (!value)
             return v;
-        v.detail = shortNumber(*value) + " vs " + shortNumber(rhs);
+        v.detail = formatNumber(*value) + " vs " + formatNumber(rhs);
         if (!holds(*value, e.op, rhs)) {
             v.detail = "trial " + std::to_string(record->trial) + ": " +
                        v.detail;
@@ -260,7 +252,7 @@ check(const Expectation &e, const std::vector<RecordInfo> &records)
     v.pass = !lhs.empty();
     if (lhs.size() > 1) {
         v.detail = std::to_string(lhs.size()) + " records vs " +
-                   shortNumber(rhs);
+                   formatNumber(rhs);
     }
     return v;
 }

@@ -105,13 +105,6 @@ parseRef(const std::string &metric, const std::string &selector)
 }
 
 std::string
-formatNumber(double value)
-{
-    char buf[32];
-    return std::string(buf, std::to_chars(buf, buf + sizeof(buf), value).ptr);
-}
-
-std::string
 refText(const MetricRef &ref)
 {
     std::string out = ref.metric;
@@ -122,6 +115,13 @@ refText(const MetricRef &ref)
 }
 
 } // namespace
+
+std::string
+formatNumber(double value)
+{
+    char buf[32];
+    return std::string(buf, std::to_chars(buf, buf + sizeof(buf), value).ptr);
+}
 
 Expectation
 Expectation::parse(const std::string &line)

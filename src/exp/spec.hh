@@ -98,6 +98,11 @@ struct MetricRef
     bool operator==(const MetricRef &) const = default;
 };
 
+/** @p value as the shortest text that parses back to it exactly
+ *  (std::to_chars): how `[expect]` lines and verdicts print numbers,
+ *  so two values that differ never print alike. */
+std::string formatNumber(double value);
+
 /** One `[expect]` line: lhs op factor * rhs (see the file comment). */
 struct Expectation
 {

@@ -2,8 +2,9 @@
  * @file
  * Tests for checking `[expect]` lines against campaign records: each
  * operator, the constant factor, a left side over several records,
- * and the ways a line fails without a false comparison (missing
- * metric, a right side selecting 0 or 2 records, an empty left side).
+ * the numbers a failed line prints, and the ways a line fails
+ * without a false comparison (missing metric, a right side selecting
+ * 0 or 2 records, an empty left side).
  */
 
 #include "exp/results.hh"
@@ -113,6 +114,16 @@ TEST(Expect, LeftSideMustHoldOnEverySelectedRecord)
     const auto v = verdict("tx_mpps[faults=1] > 4.65");
     EXPECT_FALSE(v.pass);
     EXPECT_EQ(v.detail, "trial 0: 4.6 vs 4.65");
+}
+
+TEST(Expect, FailedEqualityShowsTwoDifferentNumbers)
+{
+    // Values that agree to 16 digits still print apart: verdicts use
+    // the shortest round-trip form, not a fixed precision.
+    const auto v = verdict("tx_mpps[faults=1,hardening=1] == "
+                           "4.6000000000000005");
+    EXPECT_FALSE(v.pass);
+    EXPECT_EQ(v.detail, "trial 0: 4.6 vs 4.6000000000000005");
 }
 
 TEST(Expect, MissingMetricFails)

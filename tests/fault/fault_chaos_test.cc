@@ -93,6 +93,7 @@ TEST(Chaos, ReplayIsDeterministic)
     EXPECT_EQ(a.hw_ddio_ways, b.hw_ddio_ways);
     EXPECT_EQ(a.intended_ddio_ways, b.intended_ddio_ways);
     EXPECT_EQ(a.mask_drift_ways, b.mask_drift_ways);
+    EXPECT_EQ(a.hw_tenant_ways, b.hw_tenant_ways);
     EXPECT_EQ(a.degraded_enters, b.degraded_enters);
     EXPECT_EQ(a.degraded_exits, b.degraded_exits);
     EXPECT_EQ(a.missed_polls, b.missed_polls);
