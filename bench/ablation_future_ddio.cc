@@ -127,18 +127,18 @@ runDeviceCase(bool per_device_masks, double scale,
     engine.add(&pipeline);
 
     engine.run(0.05 * scale);
-    const auto before = platform.llc().deviceCounters(0);
+    const auto before = sim::PlatformSnapshot::capture(platform);
     engine.run(0.05 * scale);
-    const auto after = platform.llc().deviceCounters(0);
+    const auto dev0 = sim::PlatformSnapshot::capture(platform)
+                          .since(before)
+                          .devices[0];
 
     DeviceRow row;
-    const auto hits = after.ddio_hits - before.ddio_hits;
-    const auto misses = after.ddio_misses - before.ddio_misses;
+    const auto writes = dev0.ddio_hits + dev0.ddio_misses;
     row.quiet_hit_fraction =
-        hits + misses > 0
-            ? static_cast<double>(hits) /
-                  static_cast<double>(hits + misses)
-            : 0.0;
+        writes > 0 ? static_cast<double>(dev0.ddio_hits) /
+                         static_cast<double>(writes)
+                   : 0.0;
     return row;
 }
 

@@ -1,22 +1,21 @@
 /**
  * @file
  * Seeded scenario fuzzer driver (DESIGN.md SS12): runs differential
- * LLC trials, daemon world trials and exact-vs-approx acceptance
- * trials from src/check/fuzz.hh until a trial count or a wall-clock
- * budget is exhausted, optionally running the FSM model checker and
- * the shuffle-lattice check first.
+ * LLC trials, daemon world trials and sharded-world trials from
+ * src/check/fuzz.hh for a fixed trial count (--trials) or until a
+ * wall-clock budget (--budget-seconds, default 30 s) is spent,
+ * optionally running the FSM model checker and the shuffle-lattice
+ * check first. A counted run always runs all of its trials, however
+ * long they take; giving both flags is a usage error.
  *
  * Every trial is replayable: trial k draws its seed from the
  * splitmix64 stream of --seed, and a failing trial is written out as
  * an experiment spec (fuzz_repro_<kind>_<seed>.exp under --out) that
- * `iatexp run` or `fuzz_sim --exp=<file>` replays exactly --
- * differential failures shrunk to the minimal iteration count first,
- * approx-band failures at the original count (statistical acceptance
- * is not prefix-monotone).
+ * `iatexp run` or `fuzz_sim --exp=<file>` replays exactly, shrunk to
+ * the minimal iteration count first.
  *
  *   fuzz_sim --trials=500                    # fixed trial count
  *   fuzz_sim --budget-seconds=60             # as many as fit in 60 s
- *   fuzz_sim --mode=approx --trials=600      # only approx-band trials
  *   fuzz_sim --mode=cluster --trials=8       # sharded-world 1-vs-2
  *                                            # thread determinism
  *   fuzz_sim --fsm-check --trials=100        # model check, then fuzz
@@ -88,22 +87,19 @@ enum class TrialKind
 {
     Llc,
     World,
-    Approx,
     Cluster,
 };
 
 struct FuzzConfig
 {
     std::uint64_t trials = 0;        ///< 0: run until the budget ends
-    double budget_seconds = 30.0;
+    double budget_seconds = 30.0;    ///< only when trials == 0
     std::uint64_t base_seed = 1;
     std::uint64_t llc_ops = 4000;
     std::uint64_t world_ops = 200;
-    std::uint64_t approx_ops = 1500;
     std::uint64_t cluster_epochs = 40;
     bool run_llc = true;
     bool run_world = true;
-    bool run_approx = true;
     /** Cluster trials run each world twice (1 thread, then 2) and
      *  are much heavier than the rest, so they are opt-in:
      *  --mode=cluster or --cluster. */
@@ -118,11 +114,9 @@ struct FuzzConfig
 
 /**
  * The fuzz loop: rotate through the enabled trial kinds (per --mode)
- * until the trial count or the budget runs out. Returns the number
- * of failures, each written out as a repro. Differential failures
- * (llc, world) are shrunk first; approx-band failures are not
- * shrinkable (statistical acceptance is not prefix-monotone) and
- * replay at the original iteration count.
+ * until the trial count, or with no count the budget, runs out.
+ * Returns the number of failures, each shrunk and written out as a
+ * repro.
  */
 unsigned
 runFuzz(const FuzzConfig &cfg)
@@ -132,8 +126,6 @@ runFuzz(const FuzzConfig &cfg)
         kinds.push_back(TrialKind::Llc);
     if (cfg.run_world)
         kinds.push_back(TrialKind::World);
-    if (cfg.run_approx)
-        kinds.push_back(TrialKind::Approx);
     if (cfg.run_cluster)
         kinds.push_back(TrialKind::Cluster);
     IAT_ASSERT(!kinds.empty(), "no trial kinds enabled");
@@ -143,14 +135,8 @@ runFuzz(const FuzzConfig &cfg)
     std::uint64_t done = 0;
     unsigned failures = 0;
 
-    while ((cfg.trials == 0 || done < cfg.trials) &&
-           (cfg.trials != 0 ||
-            wallSeconds(t0) < cfg.budget_seconds)) {
-        if (cfg.trials != 0 && wallSeconds(t0) > cfg.budget_seconds) {
-            std::printf("budget exhausted after %llu trials\n",
-                        static_cast<unsigned long long>(done));
-            break;
-        }
+    while (cfg.trials != 0 ? done < cfg.trials
+                           : wallSeconds(t0) < cfg.budget_seconds) {
         const std::uint64_t seed = splitmix64Next(seed_state);
         const TrialKind kind = kinds[done % kinds.size()];
         const char *name = "llc";
@@ -164,16 +150,6 @@ runFuzz(const FuzzConfig &cfg)
             if (!violation.empty())
                 shrunk = check::shrinkWorldFailure(
                     seed, cfg.world_ops, cfg.plan, cfg.policy);
-            break;
-          case TrialKind::Approx:
-            name = "approx";
-            violation = check::fuzzApproxTrial(seed, cfg.approx_ops);
-            if (!violation.empty()) {
-                shrunk.seed = seed;
-                shrunk.ops = cfg.approx_ops;
-                shrunk.violation = violation;
-                shrunk.kind = "fuzz_approx";
-            }
             break;
           case TrialKind::Cluster:
             name = "cluster";
@@ -199,19 +175,10 @@ runFuzz(const FuzzConfig &cfg)
                 check::reproSpec(shrunk, cfg.fault_pairs);
             const auto path =
                 check::writeReproFile(cfg.out_dir, spec);
-            if (kind == TrialKind::Approx) {
-                std::printf("  repro written (unshrunk, %llu "
-                            "iterations): %s\n",
-                            static_cast<unsigned long long>(
-                                shrunk.ops),
-                            path.c_str());
-            } else {
-                std::printf("  shrunk to %llu iterations: %s\n"
-                            "  repro written: %s\n",
-                            static_cast<unsigned long long>(
-                                shrunk.ops),
-                            shrunk.violation.c_str(), path.c_str());
-            }
+            std::printf("  shrunk to %llu iterations: %s\n"
+                        "  repro written: %s\n",
+                        static_cast<unsigned long long>(shrunk.ops),
+                        shrunk.violation.c_str(), path.c_str());
         }
     }
     std::printf("fuzz: %llu trials, %u failures, %.1f s\n",
@@ -227,6 +194,9 @@ main(int argc, char **argv)
 {
     CliArgs args(argc, argv);
 
+    if (args.has("trials") && args.has("budget-seconds"))
+        fatal("--trials and --budget-seconds are exclusive: a counted "
+              "run runs every trial");
     FuzzConfig cfg;
     cfg.trials =
         static_cast<std::uint64_t>(args.getInt("trials", 0));
@@ -236,8 +206,6 @@ main(int argc, char **argv)
     cfg.llc_ops = static_cast<std::uint64_t>(args.getInt("ops", 4000));
     cfg.world_ops =
         static_cast<std::uint64_t>(args.getInt("world-ops", 200));
-    cfg.approx_ops =
-        static_cast<std::uint64_t>(args.getInt("approx-ops", 1500));
     cfg.cluster_epochs = static_cast<std::uint64_t>(
         args.getInt("cluster-epochs", 40));
     cfg.out_dir = args.getString("out", "fuzz-repros");
@@ -245,21 +213,14 @@ main(int argc, char **argv)
     const std::string mode = args.getString("mode", "all");
     if (mode == "llc") {
         cfg.run_world = false;
-        cfg.run_approx = false;
     } else if (mode == "world") {
         cfg.run_llc = false;
-        cfg.run_approx = false;
-    } else if (mode == "approx") {
-        cfg.run_llc = false;
-        cfg.run_world = false;
     } else if (mode == "cluster") {
         cfg.run_llc = false;
         cfg.run_world = false;
-        cfg.run_approx = false;
         cfg.run_cluster = true;
     } else if (mode != "all") {
-        fatal("--mode expects llc, world, approx, cluster or all, "
-              "got '%s'",
+        fatal("--mode expects llc, world, cluster or all, got '%s'",
               mode.c_str());
     }
     // "all" keeps cluster trials out unless asked for by flag (they
@@ -287,7 +248,6 @@ main(int argc, char **argv)
         if (plan.any())
             cfg.plan = &plan;
         if (spec.sweep == "fuzz_llc" || spec.sweep == "fuzz_world" ||
-            spec.sweep == "fuzz_approx" ||
             spec.sweep == "fuzz_cluster") {
             std::uint64_t ops = 0;
             core::PolicyKind repro_policy = cfg.policy;
@@ -304,8 +264,6 @@ main(int argc, char **argv)
             std::string violation;
             if (spec.sweep == "fuzz_llc")
                 violation = check::fuzzLlcTrial(spec.seed, ops);
-            else if (spec.sweep == "fuzz_approx")
-                violation = check::fuzzApproxTrial(spec.seed, ops);
             else if (spec.sweep == "fuzz_cluster")
                 violation = check::fuzzClusterTrial(spec.seed, ops);
             else

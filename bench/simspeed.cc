@@ -11,32 +11,18 @@
  * quanta per wall-second, and the sim-time / wall-time ratio, and
  * writes them as JSON (--json=<path>, default BENCH_simspeed.json)
  * for the CI regression gate (tools/check_simspeed.py compares the
- * JSON against the per-mode baseline under bench/).
+ * JSON against bench/simspeed_baseline.json).
  *
  * Measurement runs a warmup leg and then --legs (default 3) equal
  * measurement legs of the same world; the reported speed is the
  * median per-leg rate, so one descheduling blip on a loaded CI
  * runner cannot fail the 15% gate. The event counts are totals over
- * the measured legs and stay bit-deterministic per mode.
+ * the measured legs and stay bit-deterministic.
  *
- * --llc-approx K runs the set-sampled approximate LLC (SlicedLlc
- * approx mode, K a power of two; 1 = exact). --compare-exact
- * additionally runs a second, exact world over the same scenario and
- * sim duration and reports the measured speedup plus the
- * figure-metric error (demand/DDIO hit rates, writebacks, RMID
- * occupancy, and scenario rx/tx throughput) in an "error_vs_exact"
- * JSON block -- the honest-error companion to the speed number.
- *
- * Because the event core (heap, traffic generation, stage services)
- * is not accelerated by set-sampling, end-to-end packet rate
- * understates what the cache model gained. A separate model leg
- * therefore drives the memory-system API (coreAccess / dmaWrite /
- * dmaRead) directly on fresh platforms -- no engine, no pipeline --
- * and reports cache-model ops per wall-second for the current mode
- * plus, in approx mode, the exact-model rate and the model-level
- * speedup. That is the number the ">= 5x" gate checks; the
- * end-to-end speedup is gated separately at its Amdahl-limited
- * expectation (see DESIGN.md).
+ * A separate model leg drives the memory-system API (coreAccess /
+ * dmaWrite / dmaRead) directly on a fresh platform -- no engine, no
+ * pipeline -- and reports cache-model ops per wall-second, the cache
+ * model's own speed without the event core around it.
  *
  * The speed numbers are also registered as registry gauges
  * (simspeed.pkts_per_wall_s, simspeed.quanta_per_wall_s,
@@ -54,7 +40,6 @@
 #include <vector>
 
 #include "bench/common.hh"
-#include "check/approx.hh"
 #include "scenarios/agg_testpmd.hh"
 
 namespace {
@@ -104,53 +89,18 @@ struct Result
     }
 };
 
-/** One scenario instance: platform, engine, world and policy. */
-struct WorldHandle
-{
-    std::unique_ptr<sim::Platform> platform;
-    std::unique_ptr<sim::Engine> engine;
-    std::unique_ptr<scenarios::AggTestPmdWorld> world;
-    core::IatParams params;
-    std::unique_ptr<core::Policy> policy;
-};
-
-std::unique_ptr<WorldHandle>
-buildWorld(const scenarios::AggTestPmdConfig &cfg,
-           const std::string &policy_name, unsigned llc_approx)
-{
-    auto h = std::make_unique<WorldHandle>();
-    sim::PlatformConfig pc;
-    pc.num_cores = 8;
-    pc.llc_approx = llc_approx;
-    h->platform = std::make_unique<sim::Platform>(pc);
-    h->engine = std::make_unique<sim::Engine>(*h->platform);
-    h->world = std::make_unique<scenarios::AggTestPmdWorld>(
-        *h->platform, cfg);
-    h->world->attach(*h->engine);
-    h->policy = core::makePolicy(
-        policy_name == "iat" ? core::PolicyKind::Iat
-                             : core::PolicyKind::Static,
-        h->platform->pqos(), h->world->registry(), h->params,
-        h->world->model());
-    fault::attachPolicy(*h->engine, *h->policy,
-                        h->params.interval_seconds);
-    return h;
-}
-
 /**
  * Cache-model throughput: drive the memory-system API directly with
  * a deterministic mixed op stream (reads, writes, DDIO writes,
  * device reads across 8 cores / 2 devices) over a DRAM-sized
  * footprint, bypassing the event core entirely. Returns ops per
- * wall-second; the first ops/8 are untimed warmup so the approx
- * mode's estimators have a population before the clock starts.
+ * wall-second; the first ops/8 are untimed warmup.
  */
 double
-modelOpsPerSec(unsigned llc_approx, std::uint64_t ops)
+modelOpsPerSec(std::uint64_t ops)
 {
     sim::PlatformConfig pc;
     pc.num_cores = 8;
-    pc.llc_approx = llc_approx;
     sim::Platform platform(pc);
 
     std::uint64_t rng = 0x9e3779b97f4a7c15ull;
@@ -211,14 +161,6 @@ median(std::vector<double> v)
                                 : 0.5 * (v[n / 2 - 1] + v[n / 2]));
 }
 
-double
-relErr(double exact, double approx)
-{
-    if (exact == 0.0)
-        return approx == 0.0 ? 0.0 : 1.0;
-    return std::abs(approx - exact) / exact;
-}
-
 } // namespace
 
 int
@@ -230,10 +172,6 @@ main(int argc, char **argv)
     const double measure_s = args.getDouble("seconds", 0.1) * scale;
     const unsigned legs =
         std::max(1, static_cast<int>(args.getInt("legs", 3)));
-    const unsigned llc_approx = static_cast<unsigned>(
-        args.getInt("llc-approx", 1));
-    const bool compare_exact =
-        args.getBool("compare-exact", false) && llc_approx > 1;
     const std::uint64_t model_ops = static_cast<std::uint64_t>(
         args.getInt("model-ops", 500000));
     const std::string json_path =
@@ -250,10 +188,18 @@ main(int argc, char **argv)
         static_cast<std::uint64_t>(args.getInt("flows", 1));
     cfg.seed = static_cast<std::uint64_t>(args.getInt("seed", 1));
 
-    auto h = buildWorld(cfg, policy_name, llc_approx);
-    sim::Platform &platform = *h->platform;
-    sim::Engine &engine = *h->engine;
-    scenarios::AggTestPmdWorld &world = *h->world;
+    sim::PlatformConfig pc;
+    pc.num_cores = 8;
+    sim::Platform platform(pc);
+    sim::Engine engine(platform);
+    scenarios::AggTestPmdWorld world(platform, cfg);
+    world.attach(engine);
+    core::IatParams params;
+    const auto policy = core::makePolicy(
+        policy_name == "iat" ? core::PolicyKind::Iat
+                             : core::PolicyKind::Static,
+        platform.pqos(), world.registry(), params, world.model());
+    fault::attachPolicy(engine, *policy, params.interval_seconds);
 
     // Live speed gauges: refreshed per sample from wall deltas.
     auto telemetry = obs::makeTelemetry(args);
@@ -290,13 +236,12 @@ main(int argc, char **argv)
                                     interval);
     }
 
-    // Warm up: fill rings, mbuf pools and the LLC into steady state
-    // (and let the approx mode's estimators gather a population).
+    // Warm up: fill rings, mbuf pools and the LLC into steady state.
     if (warmup_s > 0.0)
         engine.run(warmup_s);
 
-    // Measured legs: totals are deterministic per mode, the reported
-    // rate is the median leg so one slow leg cannot gate-flake.
+    // Measured legs: totals are deterministic, the reported rate is
+    // the median leg so one slow leg cannot gate-flake.
     Result res;
     std::vector<double> leg_wall, leg_rate;
     const std::uint64_t pkts0 = stagePackets(*world.pipeline());
@@ -324,52 +269,12 @@ main(int argc, char **argv)
         res.sim_seconds / platform.config().quantum_seconds + 0.5);
     const double median_rate = median(leg_rate);
 
-    // --compare-exact: a second, exact world over the same scenario
-    // and sim duration, for the measured speedup and the honest
-    // figure-metric error of the sampled model.
-    check::ApproxErrors err;
-    double exact_rate = 0.0;
-    double rx_rel_err = 0.0, tx_rel_err = 0.0;
-    std::uint64_t exact_rx = 0, exact_tx = 0;
-    if (compare_exact) {
-        auto ex = buildWorld(cfg, policy_name, 1);
-        if (warmup_s > 0.0)
-            ex->engine->run(warmup_s);
-        const std::uint64_t ex_pkts0 =
-            stagePackets(*ex->world->pipeline());
-        const std::uint64_t ex_rx0 = ex->world->rxPackets();
-        const std::uint64_t ex_tx0 = ex->world->txPackets();
-        const auto t0 = Clock::now();
-        ex->engine->run(measure_s * legs);
-        const auto t1 = Clock::now();
-        const double wall = wallSeconds(t0, t1);
-        const std::uint64_t ex_pkts =
-            stagePackets(*ex->world->pipeline()) - ex_pkts0;
-        exact_rate = wall > 0.0 ? ex_pkts / wall : 0.0;
-        exact_rx = ex->world->rxPackets() - ex_rx0;
-        exact_tx = ex->world->txPackets() - ex_tx0;
-        rx_rel_err = relErr(static_cast<double>(exact_rx),
-                            static_cast<double>(res.rx_packets));
-        tx_rel_err = relErr(static_cast<double>(exact_tx),
-                            static_cast<double>(res.tx_packets));
-        err = check::measureApproxErrors(ex->platform->llc(),
-                                         platform.llc());
-    }
-
-    // Model leg: cache-model ops/s on fresh platforms (no engine),
-    // isolating what the set-sampled model actually gained from the
-    // unaccelerated event core. In approx mode the exact model is
-    // measured too, for the model-level speedup the CI gate checks.
-    double model_rate = 0.0, model_exact_rate = 0.0;
-    if (model_ops > 0) {
-        model_rate = modelOpsPerSec(llc_approx, model_ops);
-        if (llc_approx > 1)
-            model_exact_rate = modelOpsPerSec(1, model_ops);
-    }
+    // Model leg: cache-model ops/s on a fresh platform (no engine).
+    const double model_rate =
+        model_ops > 0 ? modelOpsPerSec(model_ops) : 0.0;
 
     TablePrinter table("Simulation speed (agg_testpmd, " +
-                       policy_name + " policy, llc_approx=" +
-                       std::to_string(llc_approx) + ")");
+                       policy_name + " policy)");
     table.setHeader({"metric", "value"});
     table.addRow({"sim_seconds", TablePrinter::num(res.sim_seconds, 4)});
     table.addRow({"wall_seconds",
@@ -388,35 +293,12 @@ main(int argc, char **argv)
     if (model_ops > 0) {
         table.addRow({"model_ops_per_wall_s",
                       TablePrinter::num(model_rate, 0)});
-        if (llc_approx > 1) {
-            table.addRow({"model_exact_ops_per_wall_s",
-                          TablePrinter::num(model_exact_rate, 0)});
-            table.addRow({"model_speedup",
-                          TablePrinter::num(
-                              model_exact_rate > 0.0
-                                  ? model_rate / model_exact_rate
-                                  : 0.0, 2)});
-        }
-    }
-    if (compare_exact) {
-        table.addRow({"exact pkts_per_wall_s",
-                      TablePrinter::num(exact_rate, 0)});
-        table.addRow({"speedup_vs_exact",
-                      TablePrinter::num(
-                          exact_rate > 0.0 ? median_rate / exact_rate
-                                           : 0.0, 2)});
-        table.addRow({"demand_hit_rate_err",
-                      TablePrinter::num(err.demand_hit_rate_err, 4)});
-        table.addRow({"ddio_hit_rate_err",
-                      TablePrinter::num(err.ddio_hit_rate_err, 4)});
-        table.addRow({"tx_packets_rel_err",
-                      TablePrinter::num(tx_rel_err, 4)});
     }
     bench::finishBench(table, args);
 
     std::ofstream json(json_path);
     if (json) {
-        char buf[1536];
+        char buf[1024];
         std::snprintf(
             buf, sizeof(buf),
             "{\n"
@@ -424,7 +306,6 @@ main(int argc, char **argv)
             "  \"policy\": \"%s\",\n"
             "  \"containers\": %u,\n"
             "  \"frame_bytes\": %u,\n"
-            "  \"llc_approx\": %u,\n"
             "  \"legs\": %u,\n"
             "  \"sim_seconds\": %.6f,\n"
             "  \"wall_seconds\": %.6f,\n"
@@ -436,7 +317,7 @@ main(int argc, char **argv)
             "  \"quanta_per_wall_s\": %.1f,\n"
             "  \"sim_wall_ratio\": %.8f",
             policy_name.c_str(), cfg.num_containers,
-            cfg.frame_bytes, llc_approx, legs, res.sim_seconds,
+            cfg.frame_bytes, legs, res.sim_seconds,
             res.wall_seconds,
             static_cast<unsigned long long>(res.packets),
             static_cast<unsigned long long>(res.rx_packets),
@@ -451,53 +332,6 @@ main(int argc, char **argv)
                           ",\n  \"model_ops_per_wall_s\": %.1f",
                           static_cast<unsigned long long>(model_ops),
                           model_rate);
-            json << buf;
-            if (llc_approx > 1) {
-                std::snprintf(
-                    buf, sizeof(buf),
-                    ",\n  \"model_exact_ops_per_wall_s\": %.1f"
-                    ",\n  \"model_speedup\": %.4f",
-                    model_exact_rate,
-                    model_exact_rate > 0.0
-                        ? model_rate / model_exact_rate
-                        : 0.0);
-                json << buf;
-            }
-        }
-        if (compare_exact) {
-            std::snprintf(
-                buf, sizeof(buf),
-                ",\n"
-                "  \"error_vs_exact\": {\n"
-                "    \"exact_pkts_per_wall_s\": %.1f,\n"
-                "    \"speedup\": %.4f,\n"
-                "    \"demand_hit_rate_exact\": %.6f,\n"
-                "    \"demand_hit_rate_approx\": %.6f,\n"
-                "    \"demand_hit_rate_err\": %.6f,\n"
-                "    \"ddio_hit_rate_exact\": %.6f,\n"
-                "    \"ddio_hit_rate_approx\": %.6f,\n"
-                "    \"ddio_hit_rate_err\": %.6f,\n"
-                "    \"writebacks_exact\": %llu,\n"
-                "    \"writebacks_approx\": %llu,\n"
-                "    \"writeback_rel_err\": %.6f,\n"
-                "    \"occupancy_rel_err\": %.6f,\n"
-                "    \"rx_packets_exact\": %llu,\n"
-                "    \"tx_packets_exact\": %llu,\n"
-                "    \"rx_packets_rel_err\": %.6f,\n"
-                "    \"tx_packets_rel_err\": %.6f\n"
-                "  }",
-                exact_rate,
-                exact_rate > 0.0 ? median_rate / exact_rate : 0.0,
-                err.demand_hit_rate_exact, err.demand_hit_rate_approx,
-                err.demand_hit_rate_err, err.ddio_hit_rate_exact,
-                err.ddio_hit_rate_approx, err.ddio_hit_rate_err,
-                static_cast<unsigned long long>(err.writebacks_exact),
-                static_cast<unsigned long long>(
-                    err.writebacks_approx),
-                err.writeback_rel_err, err.occupancy_rel_err,
-                static_cast<unsigned long long>(exact_rx),
-                static_cast<unsigned long long>(exact_tx),
-                rx_rel_err, tx_rel_err);
             json << buf;
         }
         json << "\n}\n";

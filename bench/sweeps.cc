@@ -620,22 +620,6 @@ fuzzWorldSweepTrial(const exp::TrialContext &ctx)
     return result;
 }
 
-/** One exact-vs-approx acceptance-band trial; throws off band. */
-exp::TrialResult
-fuzzApproxSweepTrial(const exp::TrialContext &ctx)
-{
-    const auto ops =
-        static_cast<std::uint64_t>(ctx.getInt("ops", 1500));
-    const auto k =
-        static_cast<unsigned>(ctx.getInt("approx_k", 0));
-    const auto violation = check::fuzzApproxTrial(ctx.seed, ops, k);
-    if (!violation.empty())
-        throw std::runtime_error(violation);
-    exp::TrialResult result;
-    result.add("ops", static_cast<double>(ops));
-    return result;
-}
-
 /** One sharded-world determinism trial; throws on divergence. */
 exp::TrialResult
 fuzzClusterSweepTrial(const exp::TrialContext &ctx)
@@ -664,10 +648,6 @@ registerValidationSweeps(exp::TrialRegistry &registry)
                  "param ops, optional policy, faults + fault.* "
                  "knobs",
                  fuzzWorldSweepTrial);
-    registry.add("fuzz_approx",
-                 "exact-vs-approx LLC acceptance-band trial; params "
-                 "ops, approx_k (0 = seed-derived)",
-                 fuzzApproxSweepTrial);
     registry.add("fuzz_cluster",
                  "sharded-world 1-vs-2 thread determinism trial; "
                  "param ops (epochs)",

@@ -53,16 +53,6 @@ struct CacheGeometry
         return linesPerWay() * num_ways;
     }
 
-    /**
-     * Sets per slice modelled exactly at set-sampling period @p k
-     * (SlicedLlc approx mode); k == 1 is the full exact geometry.
-     */
-    constexpr std::uint32_t
-    sampledSetsPerSlice(std::uint32_t k) const
-    {
-        return k <= 1 ? sets_per_slice : (sets_per_slice + k - 1) / k;
-    }
-
     constexpr bool
     valid() const
     {

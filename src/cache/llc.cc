@@ -12,56 +12,20 @@
 
 namespace iat::cache {
 
-namespace {
-
-/** xorshift64 step (Marsaglia); period 2^64-1 over nonzero states. */
-inline std::uint64_t
-xorshift64(std::uint64_t x)
-{
-    x ^= x << 13;
-    x ^= x >> 7;
-    x ^= x << 17;
-    return x;
-}
-
-} // namespace
-
-SlicedLlc::SlicedLlc(const CacheGeometry &geom, unsigned num_cores,
-                     unsigned approx_k)
-    : geom_(geom), num_cores_(num_cores),
-      approx_k_(approx_k == 0 ? 1 : approx_k)
+SlicedLlc::SlicedLlc(const CacheGeometry &geom, unsigned num_cores)
+    : geom_(geom), num_cores_(num_cores)
 {
     IAT_ASSERT(geom_.valid(), "bad cache geometry");
     IAT_ASSERT(num_cores_ >= 1, "need at least one core");
     IAT_ASSERT(geom_.num_ways <= 32,
                "way bitmasks are 32 bits wide");
-    IAT_ASSERT(std::has_single_bit(approx_k_),
-               "set-sampling period must be a power of two, got %u",
-               approx_k_);
-    IAT_ASSERT((geom_.sets_per_slice & (approx_k_ - 1)) == 0,
-               "set-sampling period %u must divide %u sets per slice",
-               approx_k_, geom_.sets_per_slice);
-    approx_shift_ =
-        static_cast<unsigned>(std::countr_zero(approx_k_));
-    approx_mask_ = approx_k_ - 1;
 
-    const std::uint32_t model_sets =
-        geom_.sampledSetsPerSlice(approx_k_);
     slices_.resize(geom_.num_slices);
     const std::size_t lines =
-        static_cast<std::size_t>(model_sets) * geom_.num_ways;
-    for (unsigned s = 0; s < geom_.num_slices; ++s) {
-        Slice &sl = slices_[s];
+        static_cast<std::size_t>(geom_.sets_per_slice) * geom_.num_ways;
+    for (auto &sl : slices_) {
         sl.lines.assign(lines, {});
-        sl.meta.assign(model_sets, {});
-        if (approx_shift_ != 0) {
-            sl.tags.assign(lines, 0);
-            sl.sample_match = s & approx_mask_;
-            // Distinct nonzero per-slice stream; the constant pair is
-            // splitmix64's increment and PCG's default multiplier.
-            sl.est.rng = 0x9e3779b97f4a7c15ull ^
-                         (0x5851f42d4c957f2dull * (s + 1));
-        }
+        sl.meta.assign(geom_.sets_per_slice, {});
     }
 
     // Power-on defaults mirror real RDT: every CLOS may fill the whole
@@ -78,112 +42,6 @@ SlicedLlc::SlicedLlc(const CacheGeometry &geom, unsigned num_cores,
     device_ddio_masks_.assign(numDevices, WayMask{});
     rmid_lines_.assign(numRmids, 0);
     bin_count_.assign(geom_.num_slices + 1, 0);
-}
-
-void
-SlicedLlc::setShadow(LlcShadow *shadow)
-{
-    IAT_ASSERT(shadow == nullptr || approx_k_ == 1,
-               "shadow validation is bit-exact and requires the exact "
-               "model; this LLC samples 1/%u sets",
-               approx_k_);
-    shadow_ = shadow;
-}
-
-bool
-SlicedLlc::estDraw(std::uint64_t &state, std::uint64_t num,
-                   std::uint64_t den)
-{
-    state = xorshift64(state);
-    // Fixed-point threshold draw: scale the low 32 state bits into
-    // [0, den) with a multiply-shift instead of a modulo (den is a
-    // tally count below 2^17, so the product fits and the bias is
-    // 2^-32 -- immeasurable next to the sampling error).
-    return ((static_cast<std::uint64_t>(
-                 static_cast<std::uint32_t>(state)) *
-             den) >> 32) < num;
-}
-
-void
-SlicedLlc::recordEst(Slice &sl, EstClassId cls, bool hit,
-                     bool victim_wb)
-{
-    EstClass &c = sl.est.cls[cls];
-    c.hits += hit;
-    c.misses += !hit;
-    c.victim_wbs += victim_wb;
-    if (c.hits + c.misses >= kEstWindow) {
-        c.hits >>= 1;
-        c.misses >>= 1;
-        c.victim_wbs >>= 1;
-    }
-}
-
-void
-SlicedLlc::estimateCoreOp(CoreId core, Slice &sl, CoreOp &op)
-{
-    ++sl.counters.lookups;
-    if (!op.writeback)
-        ++core_counters_[core].llc_refs;
-    EstClass &c = sl.est.cls[op.writeback ? EstCoreWb : EstDemand];
-    const std::uint64_t pop = c.hits + c.misses;
-    // With no sampled evidence yet, report a miss -- the cold-cache
-    // truth -- without spending an rng step.
-    op.hit = pop != 0 && estDraw(sl.est.rng, c.hits, pop);
-    op.victim_writeback = false;
-    if (!op.hit) {
-        if (!op.writeback)
-            ++core_counters_[core].llc_misses;
-        if (c.misses != 0 &&
-            estDraw(sl.est.rng, c.victim_wbs, c.misses)) {
-            op.victim_writeback = true;
-            ++total_writebacks_;
-        }
-    }
-}
-
-AccessResult
-SlicedLlc::estimateDdioWrite(Slice &sl, DeviceId dev)
-{
-    ++sl.counters.lookups;
-    AccessResult result;
-    if (!ddio_enabled_) {
-        // The write lands in DRAM; an unsampled set holds no modelled
-        // copy to drop, so this is pure counter work.
-        return result;
-    }
-    SliceCounters *dev_ctr =
-        dev < device_counters_.size() ? &device_counters_[dev] : nullptr;
-    EstClass &c = sl.est.cls[EstDdio];
-    const std::uint64_t pop = c.hits + c.misses;
-    if (pop != 0 && estDraw(sl.est.rng, c.hits, pop)) {
-        result.hit = true;
-        ++sl.counters.ddio_hits;
-        if (dev_ctr)
-            ++dev_ctr->ddio_hits;
-    } else {
-        ++sl.counters.ddio_misses;
-        if (dev_ctr)
-            ++dev_ctr->ddio_misses;
-        result.allocated = true;
-        if (c.misses != 0 &&
-            estDraw(sl.est.rng, c.victim_wbs, c.misses)) {
-            result.writeback = true;
-            ++total_writebacks_;
-        }
-    }
-    return result;
-}
-
-AccessResult
-SlicedLlc::estimateDeviceRead(Slice &sl)
-{
-    ++sl.counters.lookups;
-    AccessResult result;
-    EstClass &c = sl.est.cls[EstDevRead];
-    const std::uint64_t pop = c.hits + c.misses;
-    result.hit = pop != 0 && estDraw(sl.est.rng, c.hits, pop);
-    return result;
 }
 
 void
@@ -298,19 +156,6 @@ SlicedLlc::hasDeviceDdioMask(DeviceId dev) const
 int
 SlicedLlc::findWay(const Slice &sl, unsigned set, LineAddr line) const
 {
-    if (approx_shift_ != 0) {
-        // Approx mode: branch-free scan of the contiguous tag array;
-        // tags are unique per set, so the match mask has <= 1 bit.
-        const LineAddr *tags =
-            &sl.tags[static_cast<std::size_t>(set) * geom_.num_ways];
-        std::uint32_t match = 0;
-        for (unsigned w = 0; w < geom_.num_ways; ++w)
-            match |= static_cast<std::uint32_t>(tags[w] == line) << w;
-        match &= sl.meta[set].valid;
-        if (match == 0)
-            return -1;
-        return std::countr_zero(match);
-    }
     const Line *ways =
         &sl.lines[static_cast<std::size_t>(set) * geom_.num_ways];
     for (std::uint32_t m = sl.meta[set].valid; m != 0; m &= m - 1) {
@@ -326,22 +171,6 @@ SlicedLlc::findWayMru(Slice &sl, unsigned set, LineAddr line) const
 {
     SetMeta &meta = sl.meta[set];
     const unsigned mw = meta.mru;
-    if (approx_shift_ != 0) {
-        const LineAddr *tags =
-            &sl.tags[static_cast<std::size_t>(set) * geom_.num_ways];
-        if (((meta.valid >> mw) & 1u) != 0 && tags[mw] == line)
-            return static_cast<int>(mw);
-        std::uint32_t match = 0;
-        for (unsigned w = 0; w < geom_.num_ways; ++w)
-            match |= static_cast<std::uint32_t>(tags[w] == line) << w;
-        match &= meta.valid;
-        if (match == 0)
-            return -1;
-        const unsigned w =
-            static_cast<unsigned>(std::countr_zero(match));
-        meta.mru = static_cast<std::uint8_t>(w);
-        return static_cast<int>(w);
-    }
     const Line *ways =
         &sl.lines[static_cast<std::size_t>(set) * geom_.num_ways];
     if (((meta.valid >> mw) & 1u) != 0 && ways[mw].tag == line)
@@ -403,9 +232,6 @@ SlicedLlc::allocate(Slice &sl, unsigned set, LineAddr line,
         --rmid_lines_[entry.owner];
     }
     entry.tag = line;
-    if (approx_shift_ != 0)
-        sl.tags[static_cast<std::size_t>(set) * geom_.num_ways + way] =
-            line;
     meta.valid |= bit;
     if (dirty)
         meta.dirty |= bit;
@@ -421,13 +247,6 @@ SlicedLlc::allocate(Slice &sl, unsigned set, LineAddr line,
 void
 SlicedLlc::applyCoreOp(CoreId core, Slice &sl, unsigned set, CoreOp &op)
 {
-    if (approx_shift_ != 0) {
-        if ((set & approx_mask_) != sl.sample_match) {
-            estimateCoreOp(core, sl, op);
-            return;
-        }
-        set >>= approx_shift_;
-    }
     const LineAddr line = op.addr / geom_.line_bytes;
     ++sl.counters.lookups;
     if (!op.writeback)
@@ -454,9 +273,6 @@ SlicedLlc::applyCoreOp(CoreId core, Slice &sl, unsigned set, CoreOp &op)
         op.hit = false;
         op.victim_writeback = result.writeback;
     }
-    if (approx_shift_ != 0)
-        recordEst(sl, op.writeback ? EstCoreWb : EstDemand, op.hit,
-                  op.victim_writeback);
     if (shadow_ != nullptr)
         shadow_->onCoreOp(core, op.addr, op.type, op.writeback, op.hit,
                           op.victim_writeback);
@@ -554,11 +370,6 @@ AccessResult
 SlicedLlc::applyDdioWrite(Slice &sl, unsigned set, LineAddr line,
                           DeviceId dev)
 {
-    if (approx_shift_ != 0) {
-        if ((set & approx_mask_) != sl.sample_match)
-            return estimateDdioWrite(sl, dev);
-        set >>= approx_shift_;
-    }
     ++sl.counters.lookups;
     AccessResult result;
     SliceCounters *dev_ctr =
@@ -593,8 +404,6 @@ SlicedLlc::applyDdioWrite(Slice &sl, unsigned set, LineAddr line,
         allocate(sl, set, line, deviceDdioMask(dev), ddioRmid,
                  /*dirty=*/true, result);
     }
-    if (approx_shift_ != 0 && ddio_enabled_)
-        recordEst(sl, EstDdio, result.hit, result.writeback);
     if (shadow_ != nullptr)
         shadow_->onDdioWrite(line * geom_.line_bytes, dev, result);
     return result;
@@ -647,11 +456,6 @@ SlicedLlc::deviceRead(Addr addr, DeviceId dev)
     locate(line, slice, set);
 
     Slice &sl = slices_[slice];
-    if (approx_shift_ != 0) {
-        if ((set & approx_mask_) != sl.sample_match)
-            return estimateDeviceRead(sl);
-        set >>= approx_shift_;
-    }
     ++sl.counters.lookups;
     AccessResult result;
     const int w = findWayMru(sl, set, line);
@@ -663,8 +467,6 @@ SlicedLlc::deviceRead(Addr addr, DeviceId dev)
     }
     // Device reads that miss are serviced from DRAM and, per SS II-B,
     // are not allocated in the LLC.
-    if (approx_shift_ != 0)
-        recordEst(sl, EstDevRead, result.hit, false);
     if (shadow_ != nullptr)
         shadow_->onDeviceRead(addr, dev, result);
     return result;
@@ -688,9 +490,7 @@ SlicedLlc::isPresent(Addr addr) const
     const LineAddr line = addr / geom_.line_bytes;
     unsigned slice, set;
     locate(line, slice, set);
-    if (!setSampled(slice, set))
-        return false;
-    return findWay(slices_[slice], set >> approx_shift_, line) >= 0;
+    return findWay(slices_[slice], set, line) >= 0;
 }
 
 void
@@ -699,12 +499,6 @@ SlicedLlc::invalidate(Addr addr)
     const LineAddr line = addr / geom_.line_bytes;
     unsigned slice, set;
     locate(line, slice, set);
-    if (!setSampled(slice, set)) {
-        if (shadow_ != nullptr)
-            shadow_->onInvalidate(addr);
-        return;
-    }
-    set >>= approx_shift_;
     Slice &sl = slices_[slice];
     const int w = findWay(sl, set, line);
     if (w >= 0) {
@@ -727,10 +521,6 @@ SlicedLlc::flushAll()
             m.dirty = 0;
         }
         sl.clock = 0;
-        // The estimator's evidence described the pre-flush cache;
-        // restart it cold (the rng stream keeps running).
-        for (auto &c : sl.est.cls)
-            c = EstClass{};
     }
     rmid_lines_.assign(numRmids, 0);
     if (shadow_ != nullptr)
@@ -762,7 +552,7 @@ std::uint64_t
 SlicedLlc::rmidLines(RmidId rmid) const
 {
     IAT_ASSERT(rmid < numRmids, "RMID out of range");
-    return rmid_lines_[rmid] * approx_k_;
+    return rmid_lines_[rmid];
 }
 
 std::uint64_t
@@ -777,9 +567,6 @@ SlicedLlc::lineAt(unsigned slice, unsigned set, unsigned way) const
     IAT_ASSERT(slice < slices_.size(), "slice out of range");
     IAT_ASSERT(set < geom_.sets_per_slice, "set out of range");
     IAT_ASSERT(way < geom_.num_ways, "way out of range");
-    if (!setSampled(slice, set))
-        return LineView{};
-    set >>= approx_shift_;
     const Slice &sl = slices_[slice];
     const Line &entry =
         sl.lines[static_cast<std::size_t>(set) * geom_.num_ways + way];

@@ -33,23 +33,8 @@
  * accessBatch() for the argument, and
  * tests/cache/llc_batch_property_test.cc for the enforcement.
  *
- * Set-sampled approximate mode (SMARTS-style; Wunderlich et al.,
- * ISCA'03): constructed with approx_k = K > 1, only 1/K of each
- * slice's sets are modelled exactly -- set s of slice i is sampled
- * iff (s mod K) == (i mod K), a deterministic stratified pick that
- * rotates the sampled congruence class across slices so no address
- * stratum is systematically blind. Sampled sets are stored densely
- * (index s / K) and additionally keep a contiguous tag-only probe
- * array so the way scan touches 8-byte tags instead of 16-byte Line
- * records (SIMD-friendly, K-fold smaller footprint). Accesses to
- * unsampled sets never touch the tag store: their outcome is a
- * Bernoulli draw from per-slice per-op-class tallies (demand /
- * core-writeback / DDIO-write / device-read) maintained over the
- * sampled population, with periodic halving so the estimate tracks
- * phase changes. Counters advance at full rate either way;
- * rmidLines() extrapolates occupancy by K. The approximate path is
- * validated statistically (src/check/approx.hh, bench/fuzz_sim
- * --mode=approx), never bit-exactly: setShadow() requires K == 1.
+ * Every set is modelled exactly; DESIGN.md SS14 records why the
+ * set-sampled mode was removed.
  */
 
 #ifndef IATSIM_CACHE_LLC_HH
@@ -134,45 +119,10 @@ class SlicedLlc
     /** PCIe devices with per-device counters and optional masks. */
     static constexpr unsigned numDevices = 8;
 
-    /**
-     * @param approx_k  Set-sampling period. 1 (default) models every
-     *                  set exactly; a power of two K > 1 models 1/K
-     *                  of the sets and estimates the rest (see the
-     *                  file comment). Must divide sets_per_slice.
-     */
-    SlicedLlc(const CacheGeometry &geom, unsigned num_cores,
-              unsigned approx_k = 1);
+    SlicedLlc(const CacheGeometry &geom, unsigned num_cores);
 
     const CacheGeometry &geometry() const { return geom_; }
     unsigned numCores() const { return num_cores_; }
-
-    /** Set-sampling period; 1 means the exact model. */
-    unsigned approxK() const { return approx_k_; }
-
-    /** True when (slice, set) is modelled exactly under sampling. */
-    bool
-    setSampled(unsigned slice, unsigned set) const
-    {
-        return approx_shift_ == 0 ||
-               (set & approx_mask_) == (slice & approx_mask_);
-    }
-
-    /**
-     * True when @p addr maps to an exactly-modelled set. The platform
-     * uses this to extend sampling through the private-cache filter:
-     * lines of unsampled LLC sets skip the exact L2 model too (see
-     * PrivateCache::estimateAccess), the sampled-set analog of SMARTS
-     * not functionally warming structures it does not measure.
-     */
-    bool
-    lineSampled(Addr addr) const
-    {
-        if (approx_shift_ == 0)
-            return true;
-        unsigned slice, set;
-        locate(addr / geom_.line_bytes, slice, set);
-        return (set & approx_mask_) == (slice & approx_mask_);
-    }
 
     /// @name CAT-style configuration
     /// @{
@@ -300,11 +250,6 @@ class SlicedLlc
     /// @name Introspection / monitoring
     /// @{
 
-    /**
-     * Whether @p addr is cached. Under set sampling an address whose
-     * set is unsampled has no modelled copy; isPresent() reports
-     * false and invalidate() is a no-op for it.
-     */
     bool isPresent(Addr addr) const;
     void invalidate(Addr addr);
     void flushAll();
@@ -315,11 +260,7 @@ class SlicedLlc
     /** Per-device DDIO statistics (a §VII future-DDIO extension). */
     const SliceCounters &deviceCounters(DeviceId dev) const;
 
-    /**
-     * CMT-style occupancy: lines currently owned by @p rmid. Under
-     * set sampling the sampled-population count is scaled by K, the
-     * same extrapolation real CMT applies to its sampled RMID tags.
-     */
+    /** CMT-style occupancy: lines currently owned by @p rmid. */
     std::uint64_t rmidLines(RmidId rmid) const;
     std::uint64_t rmidBytes(RmidId rmid) const;
 
@@ -340,10 +281,7 @@ class SlicedLlc
         std::uint32_t ts = 0;
     };
 
-    /**
-     * Directory peek for differential validation and deep dumps.
-     * Under set sampling an unsampled set reads as all-invalid.
-     */
+    /** Directory peek for differential validation and deep dumps. */
     LineView lineAt(unsigned slice, unsigned set, unsigned way) const;
 
     /** Per-slice LRU clock (wraps at 2^32 by design). */
@@ -357,11 +295,9 @@ class SlicedLlc
      * Attach (or detach with nullptr) a shadow observer. The shadow
      * sees every subsequent config write and line-granular access
      * with the real model's verdict; see cache/shadow.hh. Costs one
-     * predictable null check per op when detached. Shadow validation
-     * is bit-exact and therefore only defined on the exact model:
-     * attaching with approxK() > 1 asserts.
+     * predictable null check per op when detached.
      */
-    void setShadow(LlcShadow *shadow);
+    void setShadow(LlcShadow *shadow) { shadow_ = shadow; }
     LlcShadow *shadow() const { return shadow_; }
     /// @}
 
@@ -387,56 +323,11 @@ class SlicedLlc
         std::uint8_t mru = 0;    ///< last-touched way
     };
 
-    /**
-     * Outcome tallies for one op class over a slice's sampled sets.
-     * hits/misses drive the Bernoulli hit draw for unsampled sets;
-     * victim_wbs/misses drives the dirty-victim draw on an estimated
-     * miss. All three halve together once hits+misses reaches
-     * kEstWindow, so the estimate is an exponentially-weighted recent
-     * window rather than an all-history average.
-     */
-    struct EstClass
-    {
-        std::uint64_t hits = 0;
-        std::uint64_t misses = 0;
-        std::uint64_t victim_wbs = 0;
-    };
-
-    /** Estimator op classes (distinct hit/writeback distributions). */
-    enum EstClassId : unsigned
-    {
-        EstDemand = 0, ///< coreAccess (demand reference)
-        EstCoreWb,     ///< writebackFromCore
-        EstDdio,       ///< ddioWrite (DDIO enabled)
-        EstDevRead,    ///< deviceRead
-        kNumEstClasses
-    };
-
-    /** Decay window: tallies halve at 2^16 sampled events. */
-    static constexpr std::uint64_t kEstWindow = 1u << 16;
-
-    /** Per-slice extrapolation state for unsampled sets. */
-    struct Estimator
-    {
-        EstClass cls[kNumEstClasses];
-        std::uint64_t rng = 0; ///< xorshift64 state, never zero
-    };
-
     struct Slice
     {
         std::vector<Line> lines;   ///< way w of set s: s * ways + w
         std::vector<SetMeta> meta; ///< per set
-        /**
-         * Approx mode only: tag of way w of set s at s * ways + w,
-         * mirroring lines[].tag. The way scan walks this dense
-         * 8-byte-per-way array branch-free; lines[] is still the
-         * source of ts/owner once the way is known.
-         */
-        std::vector<LineAddr> tags;
         std::uint32_t clock = 0;
-        /** Sampled iff (set & approx_mask_) == sample_match. */
-        std::uint32_t sample_match = 0;
-        Estimator est;
         SliceCounters counters;
     };
 
@@ -445,7 +336,6 @@ class SlicedLlc
      * decorrelates the line bits, then a Lemire range reduction on
      * the low 32 bits picks the slice and an independent reduction on
      * the high bits picks the set. Inline because every access path
-     * -- including the per-line sampling decision of approx mode --
      * starts here.
      */
     void
@@ -461,23 +351,6 @@ class SlicedLlc
         set = static_cast<unsigned>(
             ((h >> 32) * geom_.sets_per_slice) >> 32);
     }
-
-    /** Bernoulli draw with probability num/den; advances @p state. */
-    static bool estDraw(std::uint64_t &state, std::uint64_t num,
-                        std::uint64_t den);
-
-    /** Record a sampled-set outcome into its slice's estimator. */
-    static void recordEst(Slice &sl, EstClassId cls, bool hit,
-                          bool victim_wb);
-
-    /** Estimated coreAccess/writebackFromCore on an unsampled set. */
-    void estimateCoreOp(CoreId core, Slice &sl, CoreOp &op);
-
-    /** Estimated ddioWrite on an unsampled set. */
-    AccessResult estimateDdioWrite(Slice &sl, DeviceId dev);
-
-    /** Estimated deviceRead on an unsampled set. */
-    AccessResult estimateDeviceRead(Slice &sl);
 
     /** Way holding @p line in (slice, set), or -1 when absent. */
     int findWay(const Slice &sl, unsigned set, LineAddr line) const;
@@ -514,9 +387,6 @@ class SlicedLlc
 
     CacheGeometry geom_;
     unsigned num_cores_;
-    unsigned approx_k_ = 1;
-    unsigned approx_shift_ = 0;     ///< log2(approx_k_)
-    std::uint32_t approx_mask_ = 0; ///< approx_k_ - 1
     bool ddio_enabled_ = true;
     LlcShadow *shadow_ = nullptr;
 

@@ -23,27 +23,6 @@ mix64(std::uint64_t x)
     return x ^ (x >> 31);
 }
 
-inline std::uint64_t
-xorshift64(std::uint64_t x)
-{
-    x ^= x << 13;
-    x ^= x >> 7;
-    x ^= x << 17;
-    return x;
-}
-
-/** Bernoulli draw with probability num/den; advances @p state. The
- *  multiply-shift maps the low 32 state bits into [0, den) (tallies
- *  stay below 2^17, so the product fits; bias 2^-32). */
-inline bool
-estDraw(std::uint64_t &state, std::uint64_t num, std::uint64_t den)
-{
-    state = xorshift64(state);
-    return ((static_cast<std::uint64_t>(
-                 static_cast<std::uint32_t>(state)) *
-             den) >> 32) < num;
-}
-
 } // namespace
 
 PrivateCache::PrivateCache(const PrivateCacheGeometry &geom)
@@ -70,54 +49,6 @@ PrivateCache::setIndex(LineAddr line) const
          geom_.num_sets) >> 32);
 }
 
-void
-PrivateCache::recordEst(AccessType type, bool hit, bool victim_wb)
-{
-    if (!est_enabled_)
-        return;
-    EstClass &c = est_[type == AccessType::Write];
-    c.hits += hit;
-    c.misses += !hit;
-    c.victim_wbs += victim_wb;
-    if (hit)
-        c.streak += c.streak < kEstStreakCap;
-    else
-        c.streak = 0;
-    if (c.hits + c.misses >= kEstWindow) {
-        c.hits >>= 1;
-        c.misses >>= 1;
-        c.victim_wbs >>= 1;
-    }
-}
-
-PrivateAccessResult
-PrivateCache::estimateAccess(Addr addr, AccessType type)
-{
-    PrivateAccessResult result;
-    EstClass &c = est_[type == AccessType::Write];
-    const std::uint64_t pop = c.hits + c.misses;
-    if (pop != 0) {
-        // Miss probability: the tally rate, capped by the hit-streak
-        // bound (see EstClass::streak). Both draws use num/den
-        // integer form; pick whichever bound is tighter.
-        const std::uint64_t s1 = c.streak + 1;
-        const bool capped = c.misses * s1 > kEstStreakSlack * pop;
-        const std::uint64_t num = capped ? kEstStreakSlack : c.misses;
-        const std::uint64_t den = capped ? s1 : pop;
-        result.hit = !estDraw(est_rng_, num, den);
-    }
-    if (result.hit) {
-        ++hits_;
-        return result;
-    }
-    ++misses_;
-    if (c.misses != 0 && estDraw(est_rng_, c.victim_wbs, c.misses)) {
-        result.has_writeback = true;
-        result.writeback_addr = addr;
-    }
-    return result;
-}
-
 PrivateAccessResult
 PrivateCache::access(Addr addr, AccessType type)
 {
@@ -138,7 +69,6 @@ PrivateCache::access(Addr addr, AccessType type)
         ways[mw].ts = ++clock_;
         if (type == AccessType::Write)
             meta.dirty |= 1u << mw;
-        recordEst(type, true, false);
         return result;
     }
     std::uint32_t match = 0;
@@ -154,7 +84,6 @@ PrivateCache::access(Addr addr, AccessType type)
         meta.mru = static_cast<std::uint8_t>(w);
         if (type == AccessType::Write)
             meta.dirty |= 1u << w;
-        recordEst(type, true, false);
         return result;
     }
 
@@ -191,7 +120,6 @@ PrivateCache::access(Addr addr, AccessType type)
         meta.dirty &= ~bit;
     ways[victim].ts = ++clock_;
     meta.mru = static_cast<std::uint8_t>(victim);
-    recordEst(type, false, result.has_writeback);
     return result;
 }
 

@@ -50,48 +50,11 @@ class PrivateCache
      */
     PrivateAccessResult access(Addr addr, AccessType type);
 
-    /**
-     * Estimated access for a line the platform's set-sampled mode
-     * excludes from exact modelling (SlicedLlc::lineSampled() false):
-     * no directory is touched; the hit verdict and the dirty-victim
-     * writeback are Bernoulli draws from the per-access-type tallies
-     * of recent *exact* accesses. A drawn writeback reports @p addr
-     * itself as the victim -- any stand-in line of an unsampled LLC
-     * set is equally representative, and the LLC estimates that
-     * writeback op in turn. With no evidence yet the verdict is a
-     * miss (the cold-cache truth) and no rng step is spent.
-     */
-    PrivateAccessResult estimateAccess(Addr addr, AccessType type);
-
     bool isPresent(Addr addr) const;
     void invalidateAll();
 
-    /**
-     * Turn on the estimateAccess() tallies. Off by default so the
-     * exact-mode hot path pays nothing; the platform enables it on
-     * every core's L2 when the LLC runs set-sampled (llc_approx > 1),
-     * where sampled lines' exact outcomes feed the estimator.
-     */
-    void enableEstimator() { est_enabled_ = true; }
-
     std::uint64_t hits() const { return hits_; }
     std::uint64_t misses() const { return misses_; }
-
-    /** One estimateAccess() tally class (see EstClass below). */
-    struct EstView
-    {
-        std::uint64_t hits = 0;
-        std::uint64_t misses = 0;
-        std::uint64_t victim_wbs = 0;
-    };
-
-    /** Estimator tallies for reads (false) / writes (true). */
-    EstView
-    estView(bool write) const
-    {
-        const auto &c = est_[write];
-        return EstView{c.hits, c.misses, c.victim_wbs};
-    }
 
     /** Snapshot of one directory entry (for differential checks). */
     struct LineView
@@ -122,9 +85,6 @@ class PrivateCache
   private:
     unsigned setIndex(LineAddr line) const;
 
-    /** Feed one exact outcome into the estimateAccess() tallies. */
-    void recordEst(AccessType type, bool hit, bool victim_wb);
-
     /** One cached line: tag and LRU stamp interleaved so the hit
      *  path -- the simulator's single hottest loop -- touches one
      *  host cache line for both the tag probe and the LRU update. */
@@ -148,39 +108,6 @@ class PrivateCache
         std::uint8_t mru = 0;
     };
 
-    /**
-     * Tallies behind estimateAccess(), one class per access type
-     * (reads and writes hit very differently: packet payload writes
-     * land in fresh buffers, header reads revisit hot lines). Fed by
-     * every exact access(); halved when a class reaches kEstWindow so
-     * the estimate tracks phase changes. Estimated outcomes are drawn
-     * from -- never recorded into -- the tallies.
-     */
-    struct EstClass
-    {
-        std::uint64_t hits = 0;
-        std::uint64_t misses = 0;
-        std::uint64_t victim_wbs = 0;
-        /**
-         * Consecutive exact hits since the last exact miss. The
-         * tallies adapt K times slower than the cache they shadow
-         * (exact evidence arrives at 1/K rate), so after a miss
-         * burst ends they keep drawing misses far too long. A streak
-         * of S hits bounds the current miss rate at ~1/S with high
-         * confidence, so draws are capped at kStreakSlack/(S+1) --
-         * the estimator unlearns a dead burst at full speed. The
-         * slack keeps the cap from biasing a genuine steady rate p:
-         * it only engages on streaks longer than kStreakSlack/p,
-         * which a geometric streak reaches with probability ~e^-4.
-         */
-        std::uint64_t streak = 0;
-    };
-    static constexpr std::uint64_t kEstWindow = 1ull << 12;
-    static constexpr std::uint64_t kEstStreakSlack = 4;
-    /** Streak values above this saturate (keeps draw products in
-     *  range; caps the drawn miss rate floor at ~2^-18). */
-    static constexpr std::uint64_t kEstStreakCap = 1ull << 20;
-
     PrivateCacheGeometry geom_;
     std::vector<Way> ways_; ///< way w of set s: s * num_ways + w
     /**
@@ -196,9 +123,6 @@ class PrivateCache
     std::uint32_t clock_ = 0;
     std::uint64_t hits_ = 0;
     std::uint64_t misses_ = 0;
-    EstClass est_[2]; ///< indexed by type == Write
-    std::uint64_t est_rng_ = 0xd1b54a32d192ed03ull; ///< xorshift64
-    bool est_enabled_ = false;
 };
 
 } // namespace iat::cache

@@ -15,12 +15,6 @@
  * observer that models the same state factorization the LLC argues
  * for in accessBatch(): per-slice subsequences are preserved, and
  * cross-slice effects are commutative sums.
- *
- * Shadowing is defined only on the exact model: the set-sampled
- * approximate mode (SlicedLlc approxK() > 1) draws unsampled-set
- * verdicts statistically, so there is no bit-exact reference to diff
- * against and setShadow() asserts. The sampled path is validated by
- * the statistical acceptance band in check/approx.hh instead.
  */
 
 #ifndef IATSIM_CACHE_SHADOW_HH

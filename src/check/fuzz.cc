@@ -8,13 +8,11 @@
 #include <algorithm>
 #include <filesystem>
 #include <fstream>
-#include <iterator>
 #include <functional>
 #include <optional>
 #include <stdexcept>
 #include <vector>
 
-#include "check/approx.hh"
 #include "check/diff.hh"
 #include "check/invariants.hh"
 #include "check/policy_check.hh"
@@ -220,206 +218,6 @@ fuzzLlcTrial(std::uint64_t seed, std::uint64_t ops,
     if (pdiff.report().mismatches != 0)
         return prefixed("private", ops,
                         pdiff.report().first_mismatch);
-    return {};
-}
-
-std::string
-fuzzApproxTrial(std::uint64_t seed, std::uint64_t ops,
-                unsigned approx_k)
-{
-    Rng rng(seed);
-
-    // Larger sets than fuzzLlcTrial so a 1/16 sampling period still
-    // leaves a meaningful sampled population per slice.
-    cache::CacheGeometry geom;
-    geom.num_slices = 1 + static_cast<unsigned>(rng.below(3));
-    static constexpr unsigned kSets[] = {256, 512};
-    geom.sets_per_slice = kSets[rng.below(2)];
-    geom.num_ways = 8 + static_cast<unsigned>(rng.below(9));
-    const unsigned cores = 2 + static_cast<unsigned>(rng.below(3));
-    static constexpr unsigned kPeriods[] = {2, 4, 8, 16};
-    const unsigned k =
-        approx_k != 0 ? approx_k
-                      : kPeriods[rng.below(std::size(kPeriods))];
-
-    cache::SlicedLlc exact(geom, cores);
-    cache::SlicedLlc approx(geom, cores, k);
-
-    // Identical randomized configuration on both instances: draw each
-    // value once, apply twice.
-    constexpr unsigned kClosUsed = 4;
-    constexpr unsigned kRmidsUsed = 8;
-    for (unsigned clos = 0; clos < kClosUsed; ++clos) {
-        const auto mask = randomCbm(rng, geom.num_ways);
-        exact.setClosMask(static_cast<cache::ClosId>(clos), mask);
-        approx.setClosMask(static_cast<cache::ClosId>(clos), mask);
-    }
-    for (unsigned core = 0; core < cores; ++core) {
-        const auto clos =
-            static_cast<cache::ClosId>(rng.below(kClosUsed));
-        const auto rmid =
-            static_cast<cache::RmidId>(1 + rng.below(kRmidsUsed));
-        exact.assocCoreClos(static_cast<cache::CoreId>(core), clos);
-        approx.assocCoreClos(static_cast<cache::CoreId>(core), clos);
-        exact.assocCoreRmid(static_cast<cache::CoreId>(core), rmid);
-        approx.assocCoreRmid(static_cast<cache::CoreId>(core), rmid);
-    }
-    {
-        const unsigned d =
-            1 + static_cast<unsigned>(
-                    rng.below(std::min(6u, geom.num_ways - 1)));
-        const auto mask =
-            cache::WayMask::fromRange(geom.num_ways - d, d);
-        exact.setDdioMask(mask);
-        approx.setDdioMask(mask);
-    }
-
-    const std::uint64_t universe =
-        std::max<std::uint64_t>(1024, 2 * geom.totalLines());
-    const auto randLine = [&] {
-        return static_cast<cache::Addr>(rng.below(universe) *
-                                        geom.line_bytes);
-    };
-    const auto randCore = [&] {
-        return static_cast<cache::CoreId>(rng.below(cores));
-    };
-    const auto randDev = [&] {
-        return static_cast<cache::DeviceId>(
-            rng.below(cache::SlicedLlc::numDevices));
-    };
-    const auto randType = [&] {
-        return rng.below(100) < 40 ? cache::AccessType::Write
-                                   : cache::AccessType::Read;
-    };
-
-    cache::BatchCounts bc_exact, bc_approx;
-    cache::DmaCounts dma_exact, dma_approx;
-    std::vector<cache::CoreOp> batch, batch_copy;
-
-    for (std::uint64_t i = 0; i < ops; ++i) {
-        const std::uint64_t pick = rng.below(100);
-        if (pick < 45) {
-            batch.clear();
-            const std::size_t n = 1 + rng.below(16);
-            for (std::size_t b = 0; b < n; ++b) {
-                cache::CoreOp op;
-                op.addr = randLine();
-                op.type = randType();
-                op.writeback = rng.below(100) < 15;
-                batch.push_back(op);
-            }
-            batch_copy = batch;
-            const auto core = randCore();
-            exact.accessBatch(core, batch.data(), batch.size(),
-                              bc_exact);
-            approx.accessBatch(core, batch_copy.data(),
-                               batch_copy.size(), bc_approx);
-        } else if (pick < 60) {
-            const auto core = randCore();
-            const auto addr = randLine();
-            if (rng.below(100) < 20) {
-                exact.writebackFromCore(core, addr);
-                approx.writebackFromCore(core, addr);
-            } else {
-                const auto type = randType();
-                exact.coreAccess(core, addr, type);
-                approx.coreAccess(core, addr, type);
-            }
-        } else if (pick < 75) {
-            const auto addr = randLine();
-            const auto lines =
-                1 + static_cast<std::uint32_t>(rng.below(32));
-            const auto dev = randDev();
-            exact.ddioWriteRange(addr, lines, dev, dma_exact);
-            approx.ddioWriteRange(addr, lines, dev, dma_approx);
-        } else if (pick < 82) {
-            const auto addr = randLine();
-            const auto dev = randDev();
-            exact.ddioWrite(addr, dev);
-            approx.ddioWrite(addr, dev);
-        } else if (pick < 90) {
-            const auto addr = randLine();
-            const auto dev = randDev();
-            if (rng.below(2)) {
-                exact.deviceRead(addr, dev);
-                approx.deviceRead(addr, dev);
-            } else {
-                const auto lines =
-                    1 + static_cast<std::uint32_t>(rng.below(32));
-                exact.deviceReadRange(addr, lines, dev, dma_exact);
-                approx.deviceReadRange(addr, lines, dev, dma_approx);
-            }
-        } else if (pick < 94) {
-            const auto addr = randLine();
-            exact.invalidate(addr);
-            approx.invalidate(addr);
-        } else if (pick < 98) {
-            switch (rng.below(4)) {
-              case 0: {
-                const auto clos = static_cast<cache::ClosId>(
-                    rng.below(kClosUsed));
-                const auto mask = randomCbm(rng, geom.num_ways);
-                exact.setClosMask(clos, mask);
-                approx.setClosMask(clos, mask);
-                break;
-              }
-              case 1: {
-                const auto core = randCore();
-                const auto clos = static_cast<cache::ClosId>(
-                    rng.below(kClosUsed));
-                exact.assocCoreClos(core, clos);
-                approx.assocCoreClos(core, clos);
-                break;
-              }
-              case 2: {
-                const unsigned d =
-                    1 + static_cast<unsigned>(rng.below(
-                            std::min(6u, geom.num_ways - 1)));
-                const auto mask =
-                    cache::WayMask::fromRange(geom.num_ways - d, d);
-                exact.setDdioMask(mask);
-                approx.setDdioMask(mask);
-                break;
-              }
-              default: {
-                const auto dev = randDev();
-                if (rng.below(2)) {
-                    const auto mask = randomCbm(rng, geom.num_ways);
-                    exact.setDeviceDdioMask(dev, mask);
-                    approx.setDeviceDdioMask(dev, mask);
-                } else {
-                    exact.clearDeviceDdioMask(dev);
-                    approx.clearDeviceDdioMask(dev);
-                }
-                break;
-              }
-            }
-        } else if (pick < 99) {
-            const bool enabled = rng.below(2) != 0;
-            exact.setDdioEnabled(enabled);
-            approx.setDdioEnabled(enabled);
-        } else {
-            exact.flushAll();
-            approx.flushAll();
-        }
-    }
-
-    ApproxBand band;
-    // Fuzz geometries sample as few as 16 sets per slice, so the
-    // band is wider than the production defaults, and the floors
-    // scale with the period: sampling error goes like sqrt(k / N),
-    // so a fixed floor that is fine at k=2 is 2 sigma of noise at
-    // k=16. The simspeed gate checks the tight band on the full
-    // 2048-set geometry.
-    band.hit_rate_eps = 0.10;
-    band.writeback_rel_eps = 0.35;
-    band.occupancy_rel_eps = 0.35;
-    band.min_rate_events = 500 * k;
-    band.min_occupancy_lines = 128 * k;
-    std::string verdict = compareApproxLlc(exact, approx, band);
-    if (!verdict.empty())
-        return "approx k=" + std::to_string(k) + ": " +
-               std::move(verdict);
     return {};
 }
 
@@ -667,7 +465,6 @@ clusterConfigFromSeed(std::uint64_t seed)
     cfg.shard.ring_entries = 128;
     cfg.shard.remote_rate_pps =
         2e5 + 1e5 * static_cast<double>(rng.below(4));
-    cfg.shard.llc_approx = rng.below(2) ? 8 : 1;
     cfg.shard.seed = seed;
 
     // Half the trials run the self-healing policy, with tight death

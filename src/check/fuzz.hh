@@ -4,7 +4,7 @@
  * reference oracles plus live invariant checks, with automatic
  * shrinking of failures to a minimal replayable repro.
  *
- * Four trial kinds:
+ * Three trial kinds:
  *
  *  - fuzzLlcTrial(): a random cache geometry, a random CLOS / RMID /
  *    DDIO configuration, and a stream of mixed operations (batched
@@ -19,12 +19,6 @@
  *    invariants (check/invariants.hh) after every daemon tick while a
  *    DiffHarness shadows all cache traffic.
  *
- *  - fuzzApproxTrial(): a random geometry and a random set-sampling
- *    period K, driving the *same* randomized op stream through an
- *    exact SlicedLlc and an approximate one, then applying the
- *    statistical acceptance band (check/approx.hh) -- deterministic
- *    op counts must match exactly, figure metrics within epsilon.
- *
  *  - fuzzClusterTrial(): a seed-derived sharded multi-host world
  *    (cluster/world.hh) run on one worker thread and again on two,
  *    asserting the digests are bit-identical (the epoch-barrier
@@ -36,15 +30,12 @@
  * of the total iteration count, so the operation stream is
  * prefix-stable: a failure first observed at iteration k reproduces
  * in any run of >= k iterations. That makes failure monotone in the
- * iteration count for the *differential* trials, and the shrinkers
- * exploit it with a plain binary search for the exact minimal count.
- * Approx-band failures are NOT monotone -- a statistical band can
- * pass at k ops and fail at k+1 -- so fuzz_approx repros replay at
- * the original count without shrinking.
+ * iteration count, and the shrinkers exploit it with a plain binary
+ * search for the exact minimal count.
  *
- * Shrunk failures serialize to an experiment spec (`sweep = fuzz_llc`
- * or `fuzz_world`, `seed_mode = shared`, `ops` constant), so a CI
- * failure is replayed with
+ * Shrunk failures serialize to an experiment spec (`sweep = fuzz_llc`,
+ * `fuzz_world` or `fuzz_cluster`, `seed_mode = shared`, `ops`
+ * constant), so a CI failure is replayed with
  *   iatexp run fuzz_repro_<kind>_<seed>.exp
  * or bench/fuzz_sim --exp=<file>.
  */
@@ -89,17 +80,6 @@ std::string fuzzWorldTrial(
     std::uint64_t seed, std::uint64_t iterations,
     const fault::FaultPlan *plan = nullptr,
     core::PolicyKind policy = core::PolicyKind::Iat);
-
-/**
- * One exact-vs-approx acceptance trial: @p ops loop iterations of an
- * identical randomized op stream into an exact and a set-sampled
- * SlicedLlc, then the acceptance band of check/approx.hh. The
- * sampling period is seed-derived from {2, 4, 8, 16} unless
- * @p approx_k forces one. Returns an empty string on success, else
- * the first sanity or band violation.
- */
-std::string fuzzApproxTrial(std::uint64_t seed, std::uint64_t ops,
-                            unsigned approx_k = 0);
 
 /**
  * One sharded-world trial: a seed-derived multi-host cluster (2-3

@@ -184,7 +184,6 @@ ShardHost::ShardHost(unsigned id, unsigned num_shards,
       platform_([&] {
           sim::PlatformConfig pc;
           pc.num_cores = 2 + cfg.containers + 1 + cfg.batch_slots;
-          pc.llc_approx = cfg.llc_approx;
           pc.dram.peak_bandwidth_bytes_per_s = cfg.dram_gbps * 1e9;
           return pc;
       }()),
@@ -330,8 +329,7 @@ ShardHost::attachBatchCold(unsigned slot, BatchTenant *tenant)
     attachBatch(slot, tenant);
     // Cold caches on arrival: whatever an earlier occupant of this
     // slot left behind is gone, and the newcomer's own lines do not
-    // exist here yet. Walk the slot's region line by line (the LLC
-    // skips unsampled sets on its own in approx mode).
+    // exist here yet. Walk the slot's region line by line.
     const auto &region = batch_regions_[slot];
     const auto line_bytes = platform_.config().llc.line_bytes;
     const cache::Addr first = region.base / line_bytes;

@@ -67,7 +67,6 @@ struct ShardConfig
 
     double remote_rate_pps = 0.0; ///< fabric egress rate; 0 = none
 
-    unsigned llc_approx = 1;      ///< set-sampling period (PR 8)
     std::uint64_t seed = 1;
 };
 

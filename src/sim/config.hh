@@ -38,14 +38,6 @@ struct PlatformConfig
     unsigned num_cores = 18;
     double core_hz = 2.3e9;
 
-    /**
-     * LLC set-sampling period (SlicedLlc approx mode): 1 = exact,
-     * a power of two K > 1 models 1/K of the sets and estimates the
-     * rest for a large simspeed win at small statistical error. Only
-     * valid without shadow validation (check mode requires exact).
-     */
-    unsigned llc_approx = 1;
-
     /** Engine quantum in seconds of simulated time. */
     double quantum_seconds = 50e-6;
 };

@@ -14,15 +14,11 @@ namespace iat::sim {
 using cache::AccessType;
 
 Platform::Platform(const PlatformConfig &cfg)
-    : cfg_(cfg), llc_(cfg.llc, cfg.num_cores, cfg.llc_approx),
-      dram_(cfg.dram)
+    : cfg_(cfg), llc_(cfg.llc, cfg.num_cores), dram_(cfg.dram)
 {
     l2_.reserve(cfg_.num_cores);
-    for (unsigned c = 0; c < cfg_.num_cores; ++c) {
+    for (unsigned c = 0; c < cfg_.num_cores; ++c)
         l2_.emplace_back(cfg_.l2);
-        if (cfg_.llc_approx > 1)
-            l2_.back().enableEstimator();
-    }
     instructions_.assign(cfg_.num_cores, 0);
     cycles_.assign(cfg_.num_cores, 0);
     mbm_bytes_.assign(cache::SlicedLlc::numRmids, 0);
@@ -55,12 +51,7 @@ Platform::coreAccess(cache::CoreId core, cache::Addr addr,
 {
     IAT_ASSERT(core < cfg_.num_cores, "core out of range");
     const auto line_bytes = cfg_.llc.line_bytes;
-    // Set-sampled mode: lines of unsampled LLC sets skip the exact L2
-    // filter too and get estimated end to end -- the L2 hit verdict
-    // here, the LLC verdict in the estimate branch of the LLC op.
-    const auto r2 = llc_.lineSampled(addr)
-                        ? l2_[core].access(addr, type)
-                        : l2_[core].estimateAccess(addr, type);
+    const auto r2 = l2_[core].access(addr, type);
     if (r2.has_writeback) {
         const auto wb = llc_.writebackFromCore(core, r2.writeback_addr);
         if (wb.writeback) {
@@ -115,13 +106,7 @@ Platform::coreTouchBulk(cache::CoreId core, const TouchSpan *spans,
         const cache::Addr last =
             (spans[s].addr + spans[s].bytes - 1) / line_bytes;
         for (cache::Addr line = first; line <= last; ++line) {
-            const cache::Addr la = line * line_bytes;
-            // Same sampled/estimated split as coreAccess(); pass 1
-            // visits lines in scalar order, so the estimator draw
-            // sequence matches the scalar path draw for draw.
-            const auto r2 = llc_.lineSampled(la)
-                                ? l2.access(la, spans[s].type)
-                                : l2.estimateAccess(la, spans[s].type);
+            const auto r2 = l2.access(line * line_bytes, spans[s].type);
             if (r2.hit) {
                 touch_slots_.push_back(-1);
                 continue;

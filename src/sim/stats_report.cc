@@ -35,6 +35,14 @@ PlatformSnapshot::capture(const Platform &platform)
         snap.ddio_misses += sc.ddio_misses;
     }
 
+    snap.devices.resize(cache::SlicedLlc::numDevices);
+    for (unsigned d = 0; d < cache::SlicedLlc::numDevices; ++d) {
+        const auto &dc = platform.llc().deviceCounters(
+            static_cast<cache::DeviceId>(d));
+        snap.devices[d].ddio_hits = dc.ddio_hits;
+        snap.devices[d].ddio_misses = dc.ddio_misses;
+    }
+
     snap.rmid_bytes.resize(cache::SlicedLlc::numRmids);
     for (unsigned r = 0; r < cache::SlicedLlc::numRmids; ++r) {
         snap.rmid_bytes[r] = platform.llc().rmidBytes(
@@ -63,6 +71,11 @@ PlatformSnapshot::since(const PlatformSnapshot &earlier) const
     }
     delta.ddio_hits -= earlier.ddio_hits;
     delta.ddio_misses -= earlier.ddio_misses;
+    for (std::size_t d = 0;
+         d < std::min(devices.size(), earlier.devices.size()); ++d) {
+        delta.devices[d].ddio_hits -= earlier.devices[d].ddio_hits;
+        delta.devices[d].ddio_misses -= earlier.devices[d].ddio_misses;
+    }
     delta.dram_read_bytes -= earlier.dram_read_bytes;
     delta.dram_write_bytes -= earlier.dram_write_bytes;
     // Occupancy and utilization are levels, not counters: keep the

@@ -25,7 +25,8 @@ namespace iat::sim {
  * Snapshot of all platform counters at one instant.
  *
  * Delta contract: since() subtracts everything that is a *counter*
- * (core instruction/cycle/LLC events, DDIO hits/misses, DRAM bytes)
+ * (core instruction/cycle/LLC events, DDIO hits/misses -- chip-wide
+ * and per device -- and DRAM bytes)
  * and keeps everything that is a *level* at its current value --
  * rmid_bytes (occupancy) and dram_utilization cannot be differenced
  * meaningfully. A snapshot produced by since() has is_delta set so
@@ -52,6 +53,16 @@ struct PlatformSnapshot
 
     std::uint64_t ddio_hits = 0;
     std::uint64_t ddio_misses = 0;
+
+    /** One PCIe device's DDIO events (SlicedLlc::deviceCounters). */
+    struct DeviceRow
+    {
+        std::uint64_t ddio_hits = 0;
+        std::uint64_t ddio_misses = 0;
+    };
+    /** Indexed by DeviceId, one row per SlicedLlc::numDevices. */
+    std::vector<DeviceRow> devices;
+
     std::vector<std::uint64_t> rmid_bytes;
 
     std::uint64_t dram_read_bytes = 0;

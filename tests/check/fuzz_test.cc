@@ -63,26 +63,6 @@ TEST(FuzzLlc, SabotagedTrialFailsAndShrinksToTheExactOp)
     EXPECT_NE(shrunk.violation.find("sabotaged"), std::string::npos);
 }
 
-TEST(FuzzApprox, SmallSeededTrialsPass)
-{
-    iat::Rng seeds(404);
-    for (int trial = 0; trial < 6; ++trial) {
-        const std::uint64_t seed = seeds.next();
-        const std::string violation = fuzzApproxTrial(seed, 400);
-        EXPECT_EQ(violation, "") << "seed " << seed;
-    }
-}
-
-TEST(FuzzApprox, TrialsAreDeterministicAcrossSamplingPeriods)
-{
-    // The band verdict must replay bit-identically -- repros depend
-    // on it -- and every forced sampling period must hold the band
-    // on a modest stream.
-    EXPECT_EQ(fuzzApproxTrial(99, 500), fuzzApproxTrial(99, 500));
-    for (unsigned k = 2; k <= 16; k *= 2)
-        EXPECT_EQ(fuzzApproxTrial(1234, 400, k), "") << "k " << k;
-}
-
 TEST(FuzzWorld, SmallSeededTrialsPass)
 {
     iat::Rng seeds(202);

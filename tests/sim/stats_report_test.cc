@@ -52,6 +52,27 @@ TEST(StatsReport, SinceComputesDeltas)
     EXPECT_DOUBLE_EQ(delta.now_seconds, 1e-3);
 }
 
+TEST(StatsReport, SinceSubtractsPerDeviceDdioCounters)
+{
+    Platform platform(testConfig());
+    platform.dmaWrite(1, 1 << 20, 128); // two write allocates
+    const auto a = PlatformSnapshot::capture(platform);
+    ASSERT_EQ(a.devices.size(), cache::SlicedLlc::numDevices);
+    EXPECT_EQ(a.devices[1].ddio_misses, 2u);
+
+    platform.dmaWrite(1, 1 << 20, 128); // the same lines: two updates
+    platform.dmaWrite(2, 2 << 20, 64);  // one allocate, device 2
+    const auto delta = PlatformSnapshot::capture(platform).since(a);
+    EXPECT_EQ(delta.devices[1].ddio_hits, 2u);
+    EXPECT_EQ(delta.devices[1].ddio_misses, 0u);
+    EXPECT_EQ(delta.devices[2].ddio_hits, 0u);
+    EXPECT_EQ(delta.devices[2].ddio_misses, 1u);
+    EXPECT_EQ(delta.devices[0].ddio_hits + delta.devices[0].ddio_misses,
+              0u);
+    EXPECT_EQ(delta.ddio_hits, 2u);
+    EXPECT_EQ(delta.ddio_misses, 1u);
+}
+
 TEST(StatsReport, SumCoresAddsOnlyTheListedCores)
 {
     Platform platform(testConfig());

@@ -2,14 +2,12 @@
 """Regression gate for bench/simspeed.
 
 Compares a fresh BENCH_simspeed.json against the checked-in baseline
-for the same mode (bench/simspeed_baseline.json for the exact model,
-bench/simspeed_baseline_approx16.json for --llc-approx 16) and fails
-on:
+(bench/simspeed_baseline.json) and fails on:
 
   * a workload drift: for the same scenario, policy, container count,
-    frame size, simulated duration and llc_approx factor, the
-    simulator is deterministic, so the packet-event counts must match
-    the baseline exactly.  A mismatch means the *model* changed;
+    frame size and simulated duration, the simulator is
+    deterministic, so the packet-event counts must match the baseline
+    exactly.  A mismatch means the *model* changed;
     refresh the baseline with --update (and explain the change in the
     commit).
 
@@ -18,24 +16,6 @@ on:
     on shared runners; the count check above is the deterministic part
     of the gate, the speed check catches "the hot path got slower"
     mistakes that survive count equality.
-
-For an approx-mode measurement taken with --compare-exact, three
-within-run gates apply (within-run because both sides ran on the same
-machine seconds apart, so runner-to-runner speed variance cancels):
-
-  * --min-model-speedup (default 5.0): cache-model ops/s, approx over
-    exact, from the engine-free model leg.  This is the paper-facing
-    ">= 5x simspeed" claim, checked where the sampled model is the
-    whole workload.
-
-  * --min-speedup (default 1.5): end-to-end packet rate over the
-    exact world.  Amdahl-limited by the unaccelerated event core
-    (see DESIGN.md), hence the lower bar.
-
-  * --max-hit-rate-err (default 0.02) and --max-figure-err (default
-    0.05): demand/DDIO hit-rate absolute error and writeback /
-    occupancy / tx-packet relative error from the error_vs_exact
-    block -- the honest-error half of the speed claim.
 
 A speed *improvement* beyond the tolerance only prints a hint to
 refresh the baseline; it never fails the gate.
@@ -49,7 +29,7 @@ import sys
 COUNT_KEYS = ("stage_packet_events", "rx_packets", "tx_packets",
               "quanta")
 CONFIG_KEYS = ("scenario", "policy", "containers", "frame_bytes",
-               "sim_seconds", "llc_approx", "legs")
+               "sim_seconds", "legs")
 
 
 def load(path):
@@ -60,22 +40,9 @@ def load(path):
 def main():
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("measured", help="fresh BENCH_simspeed.json")
-    ap.add_argument("baseline", help="checked-in baseline JSON "
-                    "(per mode: exact vs approx)")
+    ap.add_argument("baseline", help="checked-in baseline JSON")
     ap.add_argument("--tolerance", type=float, default=0.15,
                     help="allowed fractional slowdown (default 0.15)")
-    ap.add_argument("--min-model-speedup", type=float, default=5.0,
-                    help="approx mode: required cache-model speedup "
-                    "over exact (default 5.0)")
-    ap.add_argument("--min-speedup", type=float, default=1.5,
-                    help="approx mode: required end-to-end speedup "
-                    "from error_vs_exact (default 1.5)")
-    ap.add_argument("--max-hit-rate-err", type=float, default=0.02,
-                    help="approx mode: max absolute demand/DDIO "
-                    "hit-rate error (default 0.02)")
-    ap.add_argument("--max-figure-err", type=float, default=0.05,
-                    help="approx mode: max relative writeback/"
-                    "occupancy/tx error (default 0.05)")
     ap.add_argument("--update", action="store_true",
                     help="overwrite the baseline with the measurement")
     args = ap.parse_args()
@@ -97,8 +64,7 @@ def main():
             print(f"CONFIG MISMATCH {k}: measured {measured.get(k)!r}"
                   f" vs baseline {baseline.get(k)!r}")
         print("not comparable: rerun simspeed with the baseline's "
-              "configuration (including --llc-approx) or refresh the "
-              "baseline with --update")
+              "configuration or refresh the baseline with --update")
         return 1
 
     for k in COUNT_KEYS:
@@ -123,49 +89,6 @@ def main():
     elif ratio > 1.0 + args.tolerance:
         print("speed improved beyond tolerance; consider refreshing "
               "the baseline with --update")
-
-    # Approx-mode gates: all within-run ratios, immune to absolute
-    # runner speed.
-    if measured.get("llc_approx", 1) > 1:
-        model_speedup = measured.get("model_speedup")
-        if model_speedup is not None:
-            print(f"model_speedup: {model_speedup:.2f}x "
-                  f"(gate >= {args.min_model_speedup:.1f}x)")
-            if model_speedup < args.min_model_speedup:
-                print("MODEL SPEEDUP BELOW GATE")
-                failed = True
-        err = measured.get("error_vs_exact")
-        if err is not None:
-            speedup = err.get("speedup", 0.0)
-            print(f"end-to-end speedup: {speedup:.2f}x "
-                  f"(gate >= {args.min_speedup:.1f}x)")
-            if speedup < args.min_speedup:
-                print("END-TO-END SPEEDUP BELOW GATE")
-                failed = True
-            for key in ("demand_hit_rate_err", "ddio_hit_rate_err"):
-                v = err.get(key, 0.0)
-                print(f"{key}: {v:.4f} "
-                      f"(gate <= {args.max_hit_rate_err})")
-                if v > args.max_hit_rate_err:
-                    print(f"APPROX ERROR {key} ABOVE GATE")
-                    failed = True
-            for key in ("writeback_rel_err", "occupancy_rel_err",
-                        "tx_packets_rel_err"):
-                # Mirror check::ApproxBand's event floor: a relative
-                # error over a few dozen events is shot noise, not
-                # model error.
-                if (key == "writeback_rel_err"
-                        and err.get("writebacks_exact", 0) < 2000):
-                    print(f"{key}: skipped "
-                          f"({err.get('writebacks_exact', 0)} events"
-                          " < 2000 floor)")
-                    continue
-                v = err.get(key, 0.0)
-                print(f"{key}: {v:.4f} "
-                      f"(gate <= {args.max_figure_err})")
-                if v > args.max_figure_err:
-                    print(f"APPROX ERROR {key} ABOVE GATE")
-                    failed = True
 
     return 1 if failed else 0
 
