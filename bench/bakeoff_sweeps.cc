@@ -220,8 +220,8 @@ namespace {
 
 /**
  * Bakeoff trial: one (scenario, policy) case under the spec's
- * `[fault]` plan unless its `faults` param is 0 (trialFaulted()),
- * so one spec carries both the clean and the faulted campaigns.
+ * `[fault]` plan unless its `faults` param is 0 (ctx.faulted()), so
+ * one spec carries both the clean and the faulted campaigns.
  */
 exp::TrialResult
 bakeoffTrial(const exp::TrialContext &ctx)
@@ -232,7 +232,7 @@ bakeoffTrial(const exp::TrialContext &ctx)
     if (!core::parsePolicyKind(policy_name, kind))
         throw std::runtime_error("unknown policy '" + policy_name +
                                  "'");
-    const auto plan = trialFaulted(ctx)
+    const auto plan = ctx.faulted()
                           ? fault::FaultPlan::fromPairs(ctx.params)
                           : fault::FaultPlan{};
 

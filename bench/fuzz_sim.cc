@@ -2,20 +2,18 @@
  * @file
  * Seeded scenario fuzzer driver (DESIGN.md SS12): runs differential
  * LLC trials, daemon world trials and sharded-world trials from
- * src/check/fuzz.hh for a fixed trial count (--trials) or until a
- * wall-clock budget (--budget-seconds, default 30 s) is spent,
- * optionally running the FSM model checker and the shuffle-lattice
- * check first. A counted run always runs all of its trials, however
- * long they take; giving both flags is a usage error.
+ * src/check/fuzz.hh, --trials of them (default 5000), optionally
+ * running the FSM model checker and the shuffle-lattice check first.
+ * Every run is counted: it runs all of its trials, however long they
+ * take, and --trials=0 runs none.
  *
  * Every trial is replayable: trial k draws its seed from the
  * splitmix64 stream of --seed, and a failing trial is written out as
  * an experiment spec (fuzz_repro_<kind>_<seed>.exp under --out) that
- * `iatexp run` or `fuzz_sim --exp=<file>` replays exactly, shrunk to
- * the minimal iteration count first.
+ * `iatexp run <file>` replays exactly, shrunk to the minimal
+ * iteration count first.
  *
- *   fuzz_sim --trials=500                    # fixed trial count
- *   fuzz_sim --budget-seconds=60             # as many as fit in 60 s
+ *   fuzz_sim --trials=500                    # 500 trials
  *   fuzz_sim --mode=cluster --trials=8       # sharded-world 1-vs-2
  *                                            # thread determinism
  *   fuzz_sim --fsm-check --trials=100        # model check, then fuzz
@@ -31,7 +29,6 @@
 
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <string>
 
 #include "check/fsm_check.hh"
@@ -92,8 +89,7 @@ enum class TrialKind
 
 struct FuzzConfig
 {
-    std::uint64_t trials = 0;        ///< 0: run until the budget ends
-    double budget_seconds = 30.0;    ///< only when trials == 0
+    std::uint64_t trials = 5000;
     std::uint64_t base_seed = 1;
     std::uint64_t llc_ops = 4000;
     std::uint64_t world_ops = 200;
@@ -114,9 +110,8 @@ struct FuzzConfig
 
 /**
  * The fuzz loop: rotate through the enabled trial kinds (per --mode)
- * until the trial count, or with no count the budget, runs out.
- * Returns the number of failures, each shrunk and written out as a
- * repro.
+ * for the trial count. Returns the number of failures, each shrunk
+ * and written out as a repro.
  */
 unsigned
 runFuzz(const FuzzConfig &cfg)
@@ -132,11 +127,9 @@ runFuzz(const FuzzConfig &cfg)
 
     const auto t0 = Clock::now();
     std::uint64_t seed_state = cfg.base_seed;
-    std::uint64_t done = 0;
     unsigned failures = 0;
 
-    while (cfg.trials != 0 ? done < cfg.trials
-                           : wallSeconds(t0) < cfg.budget_seconds) {
+    for (std::uint64_t done = 0; done < cfg.trials; ++done) {
         const std::uint64_t seed = splitmix64Next(seed_state);
         const TrialKind kind = kinds[done % kinds.size()];
         const char *name = "llc";
@@ -165,7 +158,6 @@ runFuzz(const FuzzConfig &cfg)
                 shrunk = check::shrinkLlcFailure(seed, cfg.llc_ops);
             break;
         }
-        ++done;
         if (!violation.empty()) {
             ++failures;
             std::printf("FAIL %s seed=%llu: %s\n", name,
@@ -182,7 +174,7 @@ runFuzz(const FuzzConfig &cfg)
         }
     }
     std::printf("fuzz: %llu trials, %u failures, %.1f s\n",
-                static_cast<unsigned long long>(done), failures,
+                static_cast<unsigned long long>(cfg.trials), failures,
                 wallSeconds(t0));
     return failures;
 }
@@ -194,13 +186,9 @@ main(int argc, char **argv)
 {
     CliArgs args(argc, argv);
 
-    if (args.has("trials") && args.has("budget-seconds"))
-        fatal("--trials and --budget-seconds are exclusive: a counted "
-              "run runs every trial");
     FuzzConfig cfg;
-    cfg.trials =
-        static_cast<std::uint64_t>(args.getInt("trials", 0));
-    cfg.budget_seconds = args.getDouble("budget-seconds", 30.0);
+    cfg.trials = static_cast<std::uint64_t>(
+        args.getInt("trials", static_cast<std::int64_t>(cfg.trials)));
     cfg.base_seed =
         static_cast<std::uint64_t>(args.getInt("seed", 1));
     cfg.llc_ops = static_cast<std::uint64_t>(args.getInt("ops", 4000));
@@ -235,55 +223,21 @@ main(int argc, char **argv)
               core::policyKindLabels().c_str(), policy_name.c_str());
     }
 
-    // --exp=<spec>: a fuzz repro spec replays its exact trial (the
-    // shared seed verbatim, the shrunk `ops` count); any other spec
-    // (e.g. experiments/chaos.exp) donates its [fault] plan to the
-    // world trials.
+    // --exp=<spec>: the spec (e.g. experiments/chaos.exp) lends its
+    // [fault] plan to the world trials. A fuzz repro is a campaign of
+    // its own and replays through iatexp.
     fault::FaultPlan plan;
     if (args.has("exp")) {
-        const auto spec =
-            exp::ExperimentSpec::loadFile(args.getString("exp", ""));
+        const std::string path = args.getString("exp", "");
+        const auto spec = exp::ExperimentSpec::loadFile(path);
+        if (spec.sweep.rfind("fuzz_", 0) == 0)
+            fatal("%s is a fuzz repro (sweep %s); replay it with "
+                  "`iatexp run %s`",
+                  path.c_str(), spec.sweep.c_str(), path.c_str());
         cfg.fault_pairs = spec.fault;
         plan = fault::FaultPlan::fromPairs(spec.fault, "");
         if (plan.any())
             cfg.plan = &plan;
-        if (spec.sweep == "fuzz_llc" || spec.sweep == "fuzz_world" ||
-            spec.sweep == "fuzz_cluster") {
-            std::uint64_t ops = 0;
-            core::PolicyKind repro_policy = cfg.policy;
-            for (const auto &[key, value] : spec.constants) {
-                if (key == "ops")
-                    ops = std::strtoull(value.c_str(), nullptr, 0);
-                else if (key == "policy" &&
-                         !core::parsePolicyKind(value, repro_policy))
-                    fatal("repro spec has unknown policy '%s'",
-                          value.c_str());
-            }
-            if (ops == 0)
-                fatal("repro spec lacks an ops constant");
-            std::string violation;
-            if (spec.sweep == "fuzz_llc")
-                violation = check::fuzzLlcTrial(spec.seed, ops);
-            else if (spec.sweep == "fuzz_cluster")
-                violation = check::fuzzClusterTrial(spec.seed, ops);
-            else
-                violation = check::fuzzWorldTrial(
-                    spec.seed, ops, cfg.plan, repro_policy);
-            if (violation.empty()) {
-                std::printf("repro %s seed=%llu ops=%llu: PASS\n",
-                            spec.sweep.c_str(),
-                            static_cast<unsigned long long>(
-                                spec.seed),
-                            static_cast<unsigned long long>(ops));
-                return 0;
-            }
-            std::printf("repro %s seed=%llu ops=%llu: %s\n",
-                        spec.sweep.c_str(),
-                        static_cast<unsigned long long>(spec.seed),
-                        static_cast<unsigned long long>(ops),
-                        violation.c_str());
-            return 1;
-        }
         if (!args.has("seed"))
             cfg.base_seed = spec.seed;
     }
@@ -295,7 +249,7 @@ main(int argc, char **argv)
     if (fsm_check)
         ok = runFsmCheck();
 
-    if (cfg.trials != 0 || !fsm_check || args.has("budget-seconds"))
+    if (cfg.trials != 0)
         ok = runFuzz(cfg) == 0 && ok;
 
     return ok ? 0 : 1;

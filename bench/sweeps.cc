@@ -21,12 +21,6 @@
 
 namespace iat::bench {
 
-bool
-trialFaulted(const exp::TrialContext &ctx)
-{
-    return ctx.getInt("faults", 1) != 0;
-}
-
 double
 fig03ZeroLossRate(std::uint32_t frame_bytes, std::uint32_t ring_entries,
                   double window_scale, std::uint64_t seed)
@@ -355,14 +349,14 @@ l3fwdTrial(const exp::TrialContext &ctx)
 
 /**
  * Chaos trial: the fig09 ramp under the spec's `[fault]` plan (see
- * trialFaulted()). The `hardening` parameter (default on) is the
- * A/B kill switch; the `policy` parameter defaults to the full
- * daemon, the subject of the hardening work.
+ * ctx.faulted()). The `hardening` parameter (default on) is the A/B
+ * kill switch; the `policy` parameter defaults to the full daemon,
+ * the subject of the hardening work.
  */
 exp::TrialResult
 chaosTrial(const exp::TrialContext &ctx)
 {
-    const auto plan = trialFaulted(ctx)
+    const auto plan = ctx.faulted()
                           ? fault::FaultPlan::fromPairs(ctx.params)
                           : fault::FaultPlan{};
     const bool hardening = ctx.getBool("hardening", true);
@@ -403,7 +397,7 @@ chaosTrial(const exp::TrialContext &ctx)
 /**
  * Cluster trial: a sharded multi-host world (cluster/world.hh) under
  * one placement policy and the spec's cluster `[fault]` plan (see
- * trialFaulted()). The `threads` parameter is the world's
+ * ctx.faulted()). The `threads` parameter is the world's
  * worker-thread count -- declared as a param so the campaign runner
  * caps its own job count (jobs x threads <= machine) and the record
  * carries it. Every metric is a simulation counter, so records stay
@@ -441,7 +435,7 @@ clusterTrial(const exp::TrialContext &ctx)
         static_cast<std::uint64_t>(ctx.getInt("migration_epochs", 4));
     cfg.migration_frames = static_cast<unsigned>(
         ctx.getInt("migration_frames", 64));
-    if (trialFaulted(ctx))
+    if (ctx.faulted())
         cfg.fault = fault::ClusterFaultPlan::fromPairs(ctx.params);
     cfg.shard.rate_pps = ctx.getDouble("rate_mpps", 1.5) * 1e6;
     cfg.shard.remote_rate_pps =
@@ -594,15 +588,15 @@ fuzzLlcSweepTrial(const exp::TrialContext &ctx)
 }
 
 /** One world fuzz trial under the spec's [fault] plan, if any (see
- *  trialFaulted()). The optional `policy` constant (written by
- *  repro files shrunk under --policy) selects which controller the
- *  world runs. */
+ *  ctx.faulted()). The optional `policy` constant (written by repro
+ *  files shrunk under --policy) selects which controller the world
+ *  runs. */
 exp::TrialResult
 fuzzWorldSweepTrial(const exp::TrialContext &ctx)
 {
     const auto ops =
         static_cast<std::uint64_t>(ctx.getInt("ops", 200));
-    const auto plan = trialFaulted(ctx)
+    const auto plan = ctx.faulted()
                           ? fault::FaultPlan::fromPairs(ctx.params)
                           : fault::FaultPlan{};
     core::PolicyKind kind = core::PolicyKind::Iat;

@@ -26,14 +26,6 @@
 
 namespace iat::bench {
 
-/**
- * Whether a trial runs its spec's `[fault]` plan: it does unless its
- * `faults` param is 0, the fault A/B axis of bakeoff.exp, chaos.exp
- * and cluster_chaos.exp. The bakeoff, chaos, cluster and fuzz_world
- * trials all ask here.
- */
-bool trialFaulted(const exp::TrialContext &ctx);
-
 /// @name Fig 3: l3fwd RFC 2544 zero-loss throughput vs Rx ring size
 /// @{
 

@@ -37,7 +37,6 @@
  * `fuzz_world` or `fuzz_cluster`, `seed_mode = shared`, `ops`
  * constant), so a CI failure is replayed with
  *   iatexp run fuzz_repro_<kind>_<seed>.exp
- * or bench/fuzz_sim --exp=<file>.
  */
 
 #ifndef IATSIM_CHECK_FUZZ_HH

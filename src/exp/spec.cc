@@ -429,11 +429,11 @@ ExperimentSpec::expand(double scale) const
             ctx.params.push_back(constant);
         if (!fault.empty()) {
             // Fault knobs travel in the parameter list (prefixed) so
-            // trial bodies can rebuild the FaultPlan, and the trial
-            // gets a plan digest covering both the knobs and the
-            // effective seed: a plan that pins its own `seed` hashes
-            // the same across trials, one that defers to the trial
-            // seed hashes per-trial.
+            // trial bodies can rebuild the FaultPlan, and a trial that
+            // runs the plan gets a digest covering both the knobs and
+            // the effective seed: a plan that pins its own `seed`
+            // hashes the same across trials, one that defers to the
+            // trial seed hashes per-trial.
             std::string text;
             std::uint64_t plan_seed = 0;
             for (const auto &[key, value] : fault) {
@@ -442,14 +442,17 @@ ExperimentSpec::expand(double scale) const
                 if (key == "seed")
                     plan_seed = std::strtoull(value.c_str(), nullptr, 0);
             }
-            text += "effective_seed=" +
-                    std::to_string(plan_seed ? plan_seed : ctx.seed) +
-                    '\n';
-            char buf[17];
-            std::snprintf(buf, sizeof(buf), "%016llx",
-                          static_cast<unsigned long long>(
-                              iat::fnv1a64(text)));
-            ctx.fault_hash = buf;
+            if (ctx.faulted()) {
+                text += "effective_seed=" +
+                        std::to_string(plan_seed ? plan_seed
+                                                 : ctx.seed) +
+                        '\n';
+                char buf[17];
+                std::snprintf(buf, sizeof(buf), "%016llx",
+                              static_cast<unsigned long long>(
+                                  iat::fnv1a64(text)));
+                ctx.fault_hash = buf;
+            }
         }
         trials.push_back(std::move(ctx));
     }

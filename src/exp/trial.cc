@@ -33,6 +33,12 @@ TrialContext::find(const std::string &name) const
     return nullptr;
 }
 
+bool
+TrialContext::faulted() const
+{
+    return getInt("faults", 1) != 0;
+}
+
 std::string
 TrialContext::getString(const std::string &name,
                         const std::string &def) const

@@ -40,9 +40,10 @@ struct TrialContext
 
     /**
      * Fault-plan digest (16 hex digits), non-empty only when the spec
-     * has a `[fault]` section: FNV-1a of the fault knob lines plus the
-     * effective injector seed, so chaos trials are attributable to an
-     * exact plan from the JSONL record alone.
+     * has a `[fault]` section and the trial runs it (faulted()):
+     * FNV-1a of the fault knob lines plus the effective injector
+     * seed, so chaos trials are attributable to an exact plan from
+     * the JSONL record alone.
      */
     std::string fault_hash;
 
@@ -50,6 +51,15 @@ struct TrialContext
 
     /** Raw lookup; nullptr when the parameter is absent. */
     const std::string *find(const std::string &name) const;
+
+    /**
+     * Whether the trial runs its spec's `[fault]` plan: it does
+     * unless its `faults` param is 0, the fault A/B axis of
+     * bakeoff.exp, chaos.exp and cluster_chaos.exp. Trial bodies ask
+     * here before building a plan from the `fault.*` params, which
+     * faults=0 trials keep.
+     */
+    bool faulted() const;
 
     /// @name Typed parameter getters
     /// Unlike CliArgs (whose bad-value path is fatal()), these throw

@@ -1,6 +1,6 @@
 /**
  * @file
- * The aggregation-model microbenchmark world of SS VI-B (Figs 8, 9).
+ * The aggregation-model micro-benchmark world of SS VI-B (Figs 8, 9).
  *
  * Two physical NICs feed an OVS-style virtual switch running on two
  * dedicated cores (one poll thread per NIC); each of N testpmd

@@ -1,7 +1,7 @@
 /**
  * @file
  * X-Mem stand-in: the random-read memory characterization
- * microbenchmark the paper uses for the Latent Contender experiments
+ * micro-benchmark the paper uses for the Latent Contender experiments
  * (SS III-B, Figs 4/10/11).
  *
  * Each operation is one dependent (pointer-chase) load at a uniformly

@@ -17,6 +17,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <ostream>
 #include <vector>
 
 #include "cache/llc.hh"
@@ -29,19 +30,26 @@ namespace {
 constexpr std::uint64_t kLines = 1u << 12;
 constexpr std::uint64_t kLineBytes = 64;
 
-/**
- * One trace configuration. Each ctest name carries the case name and
- * this struct's size (gtest prints both), and both stay fixed so the
- * names stay stable: the "k1" suffix once named a set-sampling
- * period, and alignas(16) keeps the struct at 32 bytes.
- */
-struct alignas(16) TraceCase
+/** One trace configuration. */
+struct TraceCase
 {
     unsigned slices;
     unsigned sets;
     unsigned ways;
     std::uint64_t seed;
 };
+
+/**
+ * gtest prints the parameter into each ctest name. Without this it
+ * prints the struct's raw bytes, padding included, and the names
+ * change from build to build.
+ */
+void
+PrintTo(const TraceCase &c, std::ostream *os)
+{
+    *os << "slices=" << c.slices << " sets=" << c.sets
+        << " ways=" << c.ways << " seed=" << c.seed;
+}
 
 class LlcBatchEquivalence : public testing::TestWithParam<TraceCase>
 {
@@ -260,7 +268,7 @@ INSTANTIATE_TEST_SUITE_P(
     [](const testing::TestParamInfo<TraceCase> &tpi) {
         return "s" + std::to_string(tpi.param.slices) + "x" +
                std::to_string(tpi.param.sets) + "x" +
-               std::to_string(tpi.param.ways) + "k1";
+               std::to_string(tpi.param.ways);
     });
 
 } // namespace

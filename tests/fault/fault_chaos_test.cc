@@ -138,6 +138,27 @@ TEST(Chaos, TrialReplayThroughTheRegistryIsByteIdentical)
     EXPECT_EQ(ctx.fault_hash.size(), 16u);
 }
 
+TEST(Chaos, OnlyFaultedTrialsCarryThePlanDigest)
+{
+    // chaos.exp expands faults x hardening. A faults=0 trial keeps
+    // the plan's fault.* params but runs no plan, so its record
+    // carries no digest; its faults=1 twin carries the plan's.
+    const auto spec = exp::ExperimentSpec::loadFile(
+        std::string(IATSIM_SOURCE_DIR) + "/experiments/chaos.exp");
+    const auto trials = spec.expand(kScale);
+    ASSERT_EQ(trials.size(), 4u);
+    std::size_t stamped = 0;
+    for (const auto &ctx : trials) {
+        ASSERT_NE(ctx.find("faults"), nullptr);
+        EXPECT_NE(ctx.find("fault.write_reject"), nullptr);
+        const bool faulted = *ctx.find("faults") == "1";
+        EXPECT_EQ(ctx.faulted(), faulted);
+        EXPECT_EQ(ctx.fault_hash.size(), faulted ? 16u : 0u);
+        stamped += faulted ? 1 : 0;
+    }
+    EXPECT_EQ(stamped, 2u);
+}
+
 TEST(Chaos, FaultsParamZeroRunsWithoutThePlan)
 {
     exp::TrialRegistry registry;

@@ -13,11 +13,12 @@
  *       times and run stats go to DIR/manifest.json. --resume skips
  *       trials whose records already exist, so a killed campaign
  *       restarts where it stopped; --retry-failed additionally
- *       reruns failed trials. Then every `[expect]` line of the spec
- *       is checked against the finished results.jsonl, resumed
- *       records included, with one verdict printed per line. The
- *       exit status is 1 if a trial failed or an expectation did
- *       not hold.
+ *       reruns failed trials. Each failed record's error is printed,
+ *       so replaying a fuzz repro shows its violation. Then every
+ *       `[expect]` line of the spec is checked against the finished
+ *       results.jsonl, resumed records included, with one verdict
+ *       printed per line. The exit status is 1 if a trial failed or
+ *       an expectation did not hold.
  *
  *   iatexp expand <spec.exp> [--quick] [--seed=S]
  *       Print the trial list (index, seed, parameters) without
@@ -39,6 +40,7 @@
 #include "exp/campaign.hh"
 #include "exp/spec.hh"
 #include "util/cli.hh"
+#include "util/json.hh"
 #include "util/logging.hh"
 
 namespace {
@@ -152,6 +154,15 @@ cmdRun(const CliArgs &args)
                 summary.complete ? " (canonical order)"
                                  : " (incomplete)");
     std::printf("manifest %s\n", summary.manifest_path.c_str());
+    for (const auto &record :
+         exp::readRecordsFile(summary.results_path)) {
+        if (record.status != exp::TrialStatus::Failed)
+            continue;
+        const auto value = json::parse(record.line);
+        const auto *error = value->find("error");
+        std::printf("failed   trial %zu: %s\n", record.trial,
+                    error ? error->string.c_str() : "");
+    }
     std::size_t held = 0;
     for (const auto &v : summary.verdicts) {
         std::printf("expect %-4s %s  (%s)\n", v.pass ? "ok" : "FAIL",
