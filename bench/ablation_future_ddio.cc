@@ -152,6 +152,7 @@ main(int argc, char **argv)
     const double scale = bench::quickScale(args);
     const std::uint64_t seed =
         static_cast<std::uint64_t>(args.getInt("seed", 1));
+    bench::requireBenchFlags(args);
 
     TablePrinter split_table(
         "Future-DDIO ablation (a): header-split DDIO, aggregation "

@@ -96,6 +96,7 @@ main(int argc, char **argv)
     const double scale = bench::quickScale(args);
     const std::uint64_t seed =
         static_cast<std::uint64_t>(args.getInt("seed", 1));
+    bench::requireBenchFlags(args);
 
     TablePrinter table("Ablation: +-1 way vs miss-curve-guided DDIO "
                        "increment (1.5KB line rate, cold start)");

@@ -80,6 +80,7 @@ main(int argc, char **argv)
     const double scale = bench::quickScale(args);
     const std::uint64_t seed =
         static_cast<std::uint64_t>(args.getInt("seed", 1));
+    bench::requireBenchFlags(args);
 
     const cache::CacheGeometry geom;
     // ResQ sizes rings so *all* queues fit the two DDIO ways. With

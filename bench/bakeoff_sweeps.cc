@@ -137,14 +137,6 @@ soloIpc(const std::string &scenario, std::size_t tenant,
 
 } // namespace
 
-const std::vector<std::string> &
-bakeoffScenarios()
-{
-    static const std::vector<std::string> all = {"agg", "slicing",
-                                                 "corun"};
-    return all;
-}
-
 BakeoffResult
 bakeoffRunCase(core::PolicyKind kind, const std::string &scenario,
                const fault::FaultPlan &plan, double scale,

@@ -1,9 +1,9 @@
 /**
  * @file
- * Shared bench harness plumbing: policy labels, fairness,
- * measurement-window helpers, and output conventions. Benches build
- * policies with core::makePolicy() and hook them with
- * fault::attachPolicy().
+ * Shared bench harness plumbing: fairness, measurement-window
+ * helpers (the Figs 12-14 co-run pass), and flag and output
+ * conventions. Benches build policies with core::makePolicy() and
+ * hook them with fault::attachPolicy().
  *
  * Every bench binary regenerates one table or figure of the paper
  * (see DESIGN.md's experiment index), prints it as an aligned table,
@@ -25,9 +25,11 @@
 #include "core/baselines.hh"
 #include "core/daemon.hh"
 #include "core/policy.hh"
+#include "exp/campaign.hh"
 #include "fault/injector.hh"
 #include "obs/telemetry.hh"
 #include "scenarios/common.hh"
+#include "scenarios/corun.hh"
 #include "sim/engine.hh"
 #include "sim/stats_report.hh"
 #include "sim/telemetry.hh"
@@ -35,23 +37,6 @@
 #include "util/table.hh"
 
 namespace iat::bench {
-
-/**
- * Paper-facing label: Fig 10 presents the footnote-3 ablated daemon
- * simply as "IAT", so figure tables use this; machine-readable
- * output (CSV/JSONL) uses core::toString().
- */
-inline const char *
-figureLabel(core::PolicyKind kind)
-{
-    if (kind == core::PolicyKind::IatNoDdio)
-        return "IAT";
-    if (kind == core::PolicyKind::Ioca)
-        return "IOCA";
-    if (kind == core::PolicyKind::Lfoc)
-        return "LFOC";
-    return core::toString(kind);
-}
 
 /**
  * IPC of a measurement window's cores: the row sumCores() returns
@@ -116,32 +101,64 @@ computeFairness(const std::vector<double> &solo_ipc,
     return report;
 }
 
-/**
- * Export @p report through the metrics/stream pipeline:
- * `fairness.jain` and `fairness.worst_slowdown` gauges plus one
- * `fairness.slowdown.<t>` gauge per tenant. @p report must outlive
- * the telemetry session (the gauges read it by reference). Safe on
- * nullptr.
- */
-inline void
-bindFairnessGauges(obs::Telemetry *telemetry,
-                   const FairnessReport &report)
+/** How one co-run pass (corunPass) sets the cache up. */
+struct CorunSetup
 {
-    if (!telemetry)
-        return;
-    auto &metrics = telemetry->metrics();
-    metrics.gauge("fairness.jain",
-                  [&report] { return report.jain; });
-    metrics.gauge("fairness.worst_slowdown",
-                  [&report] { return report.worst_slowdown; });
-    for (std::size_t t = 0; t < report.slowdown.size(); ++t) {
-        metrics.gauge("fairness.slowdown." + std::to_string(t),
-                      [&report, t] {
-                          return t < report.slowdown.size()
-                                     ? report.slowdown[t]
-                                     : 0.0;
-                      });
+    /** Static applies deterministic @ref placement (0-2); any other
+     *  kind is attached with the daemon's tenant way tuning off, as
+     *  in the paper's app study (SS VI-C). */
+    core::PolicyKind kind = core::PolicyKind::Static;
+    int placement = 0;
+
+    /** Solo reference instead: the X-Mem background is paused, and
+     *  the networking app too unless @ref solo_networking, under
+     *  placement 0. The PC app always runs. */
+    bool solo = false;
+    bool solo_networking = false;
+};
+
+/**
+ * One co-run pass of Figs 12-14: build @p cfg's world on an 8-core
+ * platform, set the cache up per @p setup, settle for
+ * 0.04 * @p scale, reset stats, run the 0.08 * @p scale window and
+ * return @p read(world, window), so each figure reads its own
+ * metrics.
+ */
+template <typename Read>
+auto
+corunPass(const scenarios::CorunConfig &cfg, const CorunSetup &setup,
+          double scale, Read read)
+{
+    sim::PlatformConfig pc;
+    pc.num_cores = 8;
+    sim::Platform platform(pc);
+    sim::Engine engine(platform);
+    scenarios::CorunWorld world(platform, cfg);
+    world.attach(engine);
+
+    std::unique_ptr<core::Policy> policy;
+    if (setup.solo) {
+        if (!setup.solo_networking)
+            world.setNetworkingActive(false);
+        world.setBackgroundActive(false);
+        world.applyDeterministicPlacement(0);
+    } else if (setup.kind == core::PolicyKind::Static) {
+        world.applyDeterministicPlacement(setup.placement);
+    } else {
+        core::IatParams params;
+        params.interval_seconds = 5e-3;
+        policy = core::makePolicy(setup.kind, platform.pqos(),
+                                  world.registry(), params,
+                                  world.model());
+        fault::attachPolicy(engine, *policy, params.interval_seconds);
+        if (auto *daemon = policy->daemon())
+            daemon->setTenantTuningEnabled(false);
     }
+    engine.run(0.04 * scale);
+    world.resetStats();
+    const double window = 0.08 * scale;
+    engine.run(window);
+    return read(world, window);
 }
 
 /** Standard bench epilogue: print, optionally write CSV. */
@@ -156,17 +173,27 @@ finishBench(TablePrinter &table, const CliArgs &args)
         else
             std::printf("warning: could not write %s\n", csv.c_str());
     }
-    // By now the bench has looked up every flag it understands, so
-    // anything left is a typo the parser would otherwise swallow.
-    args.declareKnown({"quick", "seed"});
-    args.warnUnknown();
 }
 
-/** Scale factor for --quick smoke runs. */
+/**
+ * Standard bench prologue: call it once the bench has read its own
+ * flags and before it simulates anything. Every bench takes --quick,
+ * --seed and --csv (which finishBench reads); any other flag not
+ * read by now is fatal, so a typo stops the run instead of falling
+ * back to a default.
+ */
+inline void
+requireBenchFlags(const CliArgs &args)
+{
+    args.declareKnown({"quick", "seed", "csv"});
+    args.requireKnown();
+}
+
+/** Scale factor for --quick smoke runs (iatexp's --quick too). */
 inline double
 quickScale(const CliArgs &args)
 {
-    return args.getBool("quick") ? 0.3 : 1.0;
+    return args.getBool("quick") ? exp::kQuickScale : 1.0;
 }
 
 /**

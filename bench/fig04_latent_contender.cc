@@ -77,6 +77,7 @@ main(int argc, char **argv)
     const double scale = bench::quickScale(args);
     const std::uint64_t seed =
         static_cast<std::uint64_t>(args.getInt("seed", 1));
+    bench::requireBenchFlags(args);
 
     TablePrinter table("Figure 4: X-Mem vs DDIO way overlap "
                        "(l3fwd 40Gb background)");

@@ -94,6 +94,7 @@ main(int argc, char **argv)
     const double scale = bench::quickScale(args);
     const std::uint64_t seed =
         static_cast<std::uint64_t>(args.getInt("seed", 1));
+    bench::requireBenchFlags(args);
 
     TablePrinter table(
         "Figure 8: aggregation testpmd world vs packet size "

@@ -24,40 +24,10 @@ namespace {
 
 using namespace iat;
 
-/** Progress of the PC app over a settled window. */
+/** Progress of the PC app over a pass's window. */
 double
-measureProgress(core::PolicyKind kind, int placement,
-                scenarios::CorunConfig cfg, bool solo, double scale)
+pcProgress(scenarios::CorunWorld &world, double)
 {
-    sim::PlatformConfig pc;
-    pc.num_cores = 8;
-    sim::Platform platform(pc);
-    sim::Engine engine(platform);
-    scenarios::CorunWorld world(platform, cfg);
-    world.attach(engine);
-
-    std::unique_ptr<core::Policy> policy;
-    if (solo) {
-        world.setNetworkingActive(false);
-        world.setBackgroundActive(false);
-        world.applyDeterministicPlacement(0);
-    } else if (kind == core::PolicyKind::Static) {
-        world.applyDeterministicPlacement(placement);
-    } else {
-        core::IatParams params;
-        params.interval_seconds = 5e-3;
-        policy = core::makePolicy(kind, platform.pqos(),
-                                  world.registry(), params,
-                                  world.model());
-        fault::attachPolicy(engine, *policy, params.interval_seconds);
-        if (auto *daemon = policy->daemon()) {
-            // SS VI-C: tenant way tuning disabled for the app study.
-            daemon->setTenantTuningEnabled(false);
-        }
-    }
-    engine.run(0.04 * scale);
-    world.resetStats();
-    engine.run(0.08 * scale);
     return static_cast<double>(world.pcAppProgress());
 }
 
@@ -72,6 +42,7 @@ main(int argc, char **argv)
     const std::uint64_t seed =
         static_cast<std::uint64_t>(args.getInt("seed", 1));
     const bool redis_only = args.getBool("redis-only");
+    bench::requireBenchFlags(args);
 
     std::vector<std::string> apps;
     for (const auto &profile : wl::spec2006Profiles())
@@ -94,8 +65,8 @@ main(int argc, char **argv)
         scenarios::CorunConfig solo_cfg;
         solo_cfg.pc_app = app;
         solo_cfg.seed = seed;
-        const double solo = measureProgress(
-            core::PolicyKind::Static, 0, solo_cfg, true, scale);
+        const double solo = bench::corunPass(solo_cfg, {.solo = true},
+                                             scale, pcProgress);
 
         for (const auto net : nets) {
             scenarios::CorunConfig cfg;
@@ -105,15 +76,15 @@ main(int argc, char **argv)
 
             double base_min = 1e30, base_max = 0.0;
             for (int placement = 0; placement < 3; ++placement) {
-                const double p = measureProgress(
-                    core::PolicyKind::Static, placement, cfg, false,
-                    scale);
+                const double p = bench::corunPass(
+                    cfg, {.placement = placement}, scale, pcProgress);
                 const double norm = solo / std::max(p, 1.0);
                 base_min = std::min(base_min, norm);
                 base_max = std::max(base_max, norm);
             }
-            const double iat_p = measureProgress(
-                core::PolicyKind::Iat, 0, cfg, false, scale);
+            const double iat_p = bench::corunPass(
+                cfg, {.kind = core::PolicyKind::Iat}, scale,
+                pcProgress);
             const double iat_norm = solo / std::max(iat_p, 1.0);
 
             const char *net_name =

@@ -19,47 +19,10 @@ namespace {
 
 using namespace iat;
 
-/** Mean latency per op kind over a settled window. */
+/** Mean latency per op kind over a pass's window. */
 std::array<double, 5>
-measureKindLatencies(core::PolicyKind kind, int placement, char mix,
-                     scenarios::CorunConfig::NetApp net, bool solo,
-                     double scale, std::uint64_t seed)
+kindLatencies(scenarios::CorunWorld &world, double)
 {
-    sim::PlatformConfig pc;
-    pc.num_cores = 8;
-    sim::Platform platform(pc);
-    sim::Engine engine(platform);
-
-    scenarios::CorunConfig cfg;
-    cfg.net_app = net;
-    cfg.pc_app = "rocksdb";
-    cfg.rocksdb_mix = mix;
-    cfg.seed = seed;
-    scenarios::CorunWorld world(platform, cfg);
-    world.attach(engine);
-
-    std::unique_ptr<core::Policy> policy;
-    if (solo) {
-        world.setNetworkingActive(false);
-        world.setBackgroundActive(false);
-        world.applyDeterministicPlacement(0);
-    } else if (kind == core::PolicyKind::Static) {
-        world.applyDeterministicPlacement(placement);
-    } else {
-        core::IatParams params;
-        params.interval_seconds = 5e-3;
-        policy = core::makePolicy(kind, platform.pqos(),
-                                  world.registry(), params,
-                                  world.model());
-        fault::attachPolicy(engine, *policy, params.interval_seconds);
-        if (auto *daemon = policy->daemon())
-            daemon->setTenantTuningEnabled(false);
-    }
-
-    engine.run(0.04 * scale);
-    world.resetStats();
-    engine.run(0.08 * scale);
-
     std::array<double, 5> means{};
     for (unsigned k = 0; k < 5; ++k) {
         means[k] = world.rocksdb()
@@ -98,6 +61,7 @@ main(int argc, char **argv)
     const std::uint64_t seed =
         static_cast<std::uint64_t>(args.getInt("seed", 1));
     const bool redis_only = args.getBool("redis-only");
+    bench::requireBenchFlags(args);
 
     TablePrinter table(
         "Figure 13: RocksDB normalized weighted YCSB latency "
@@ -112,21 +76,25 @@ main(int argc, char **argv)
 
     for (char mix = 'A'; mix <= 'F'; ++mix) {
         for (const auto net : nets) {
-            const auto solo = measureKindLatencies(
-                core::PolicyKind::Static, 0, mix, net, true, scale,
-                seed);
+            scenarios::CorunConfig cfg;
+            cfg.net_app = net;
+            cfg.pc_app = "rocksdb";
+            cfg.rocksdb_mix = mix;
+            cfg.seed = seed;
+            const auto solo = bench::corunPass(cfg, {.solo = true},
+                                               scale, kindLatencies);
             double base_min = 1e30, base_max = 0.0;
             for (int placement = 0; placement < 3; ++placement) {
-                const auto corun = measureKindLatencies(
-                    core::PolicyKind::Static, placement, mix, net,
-                    false, scale, seed);
+                const auto corun = bench::corunPass(
+                    cfg, {.placement = placement}, scale,
+                    kindLatencies);
                 const double norm = weightedNorm(corun, solo, mix);
                 base_min = std::min(base_min, norm);
                 base_max = std::max(base_max, norm);
             }
-            const auto iat = measureKindLatencies(
-                core::PolicyKind::Iat, 0, mix, net, false, scale,
-                seed);
+            const auto iat = bench::corunPass(
+                cfg, {.kind = core::PolicyKind::Iat}, scale,
+                kindLatencies);
             const char *net_name =
                 net == scenarios::CorunConfig::NetApp::Redis
                     ? "redis"

@@ -27,46 +27,10 @@ struct RedisSample
     double p99_latency_s = 0.0;
 };
 
+/** Redis's numbers over a pass's window. */
 RedisSample
-runCase(core::PolicyKind kind, int placement, char mix, bool solo,
-        double scale, std::uint64_t seed)
+redisSample(scenarios::CorunWorld &world, double window)
 {
-    sim::PlatformConfig pc;
-    pc.num_cores = 8;
-    sim::Platform platform(pc);
-    sim::Engine engine(platform);
-
-    scenarios::CorunConfig cfg;
-    cfg.net_app = scenarios::CorunConfig::NetApp::Redis;
-    cfg.pc_app = "rocksdb"; // the paper's cache-hungry PC co-runner
-    cfg.redis_mix = mix;
-    cfg.seed = seed;
-    scenarios::CorunWorld world(platform, cfg);
-    world.attach(engine);
-
-    std::unique_ptr<core::Policy> policy;
-    if (solo) {
-        world.setBackgroundActive(false);
-        // PC app paused too: Redis runs alone with the switch.
-        world.applyDeterministicPlacement(0);
-    } else if (kind == core::PolicyKind::Static) {
-        world.applyDeterministicPlacement(placement);
-    } else {
-        core::IatParams params;
-        params.interval_seconds = 5e-3;
-        policy =
-            core::makePolicy(kind, platform.pqos(), world.registry(),
-                             params, world.model());
-        fault::attachPolicy(engine, *policy, params.interval_seconds);
-        if (auto *daemon = policy->daemon())
-            daemon->setTenantTuningEnabled(false);
-    }
-
-    engine.run(0.04 * scale);
-    world.resetStats();
-    const double window = 0.08 * scale;
-    engine.run(window);
-
     RedisSample s;
     s.ops_per_s = world.delivered() / window;
     const auto hist = world.latency();
@@ -85,6 +49,7 @@ main(int argc, char **argv)
     const double scale = bench::quickScale(args);
     const std::uint64_t seed =
         static_cast<std::uint64_t>(args.getInt("seed", 1));
+    bench::requireBenchFlags(args);
 
     TablePrinter table("Figure 14: Redis YCSB A-F normalized to "
                        "solo (throughput up = good, latency up = "
@@ -93,16 +58,23 @@ main(int argc, char **argv)
                      "norm_avg_latency", "norm_p99_latency"});
 
     for (char mix = 'A'; mix <= 'F'; ++mix) {
-        const auto solo = runCase(core::PolicyKind::Static, 0, mix,
-                                  true, scale, seed);
+        scenarios::CorunConfig cfg;
+        cfg.net_app = scenarios::CorunConfig::NetApp::Redis;
+        cfg.pc_app = "rocksdb"; // the paper's cache-hungry PC co-runner
+        cfg.redis_mix = mix;
+        cfg.seed = seed;
+        // Redis is the measured app, so its solo run keeps the
+        // networking live.
+        const auto solo = bench::corunPass(
+            cfg, {.solo = true, .solo_networking = true}, scale,
+            redisSample);
         // Baseline band over the three canonical placements.
         double tput_min = 1e30, tput_max = 0.0;
         double avg_min = 1e30, avg_max = 0.0;
         double p99_min = 1e30, p99_max = 0.0;
         for (int placement = 0; placement < 3; ++placement) {
-            const auto b = runCase(core::PolicyKind::Static,
-                                   placement, mix, false, scale,
-                                   seed);
+            const auto b = bench::corunPass(
+                cfg, {.placement = placement}, scale, redisSample);
             const double tput = b.ops_per_s / solo.ops_per_s;
             const double avg =
                 b.avg_latency_s / solo.avg_latency_s;
@@ -128,8 +100,8 @@ main(int argc, char **argv)
         table.addRow({std::string(1, mix), "baseline", tput_band,
                       avg_band, p99_band});
 
-        const auto iat = runCase(core::PolicyKind::Iat, 0, mix, false,
-                                 scale, seed);
+        const auto iat = bench::corunPass(
+            cfg, {.kind = core::PolicyKind::Iat}, scale, redisSample);
         table.addRow(
             {std::string(1, mix), "IAT",
              TablePrinter::num(iat.ops_per_s / solo.ops_per_s, 3),

@@ -126,6 +126,7 @@ main(int argc, char **argv)
     const auto iterations = static_cast<unsigned>(
         args.getInt("iterations",
                     args.getBool("quick") ? 100 : 400));
+    bench::requireBenchFlags(args);
 
     TablePrinter table("Figure 15: IAT daemon execution time per "
                        "iteration (modeled MSR cost 2us/access)");

@@ -243,7 +243,7 @@ main(int argc, char **argv)
     }
 
     const bool fsm_check = args.getBool("fsm-check", false);
-    args.warnUnknown();
+    args.requireKnown();
 
     bool ok = true;
     if (fsm_check)

@@ -107,7 +107,7 @@ main(int argc, char **argv)
     cfg.fault_plan.poll_drop = 0.02;
     cfg.fault_plan.write_reject = 0.01;
     cfg.fault_plan.churn_period_seconds = 1.0;
-    args.warnUnknown();
+    args.requireKnown();
 
     std::printf("soak: %.0fs simulated, stream=%s\n", total_seconds,
                 stream_path.c_str());

@@ -1,7 +1,6 @@
 /**
  * @file
- * Sweep bodies (moved verbatim from the fig* binaries) and their
- * trial-factory registration.
+ * Sweep bodies and their trial-factory registration.
  */
 
 #include "bench/sweeps.hh"
@@ -21,98 +20,12 @@
 
 namespace iat::bench {
 
-double
-fig03ZeroLossRate(std::uint32_t frame_bytes, std::uint32_t ring_entries,
-                  double window_scale, std::uint64_t seed)
-{
-    net::Rfc2544Config search;
-    search.min_rate_pps = 5e4;
-    search.max_rate_pps = net::lineRatePps40G(frame_bytes);
-    search.resolution = 0.03;
-
-    const auto trial = [&](double rate) {
-        sim::PlatformConfig pc;
-        pc.num_cores = 2;
-        sim::Platform platform(pc);
-        sim::Engine engine(platform);
-
-        scenarios::L3FwdConfig cfg;
-        cfg.frame_bytes = frame_bytes;
-        cfg.ring_entries = ring_entries;
-        cfg.rate_pps = rate;
-        cfg.seed = seed;
-        scenarios::L3FwdWorld world(platform, cfg);
-        world.attach(engine);
-        scenarios::applyStaticLayout(platform.pqos(),
-                                     world.registry());
-        return world.trialWindow(engine, 0.01 * window_scale,
-                                 0.04 * window_scale);
-    };
-    return net::rfc2544Search(trial, search);
-}
-
 const std::vector<std::uint64_t> &
 fig09FlowPlateaus()
 {
     static const std::vector<std::uint64_t> plateaus = {
         1, 100, 1000, 10000, 100000, 1000000};
     return plateaus;
-}
-
-Fig10Result
-fig10RunCase(core::PolicyKind kind, std::uint32_t frame_bytes,
-             double scale, std::uint64_t seed)
-{
-    sim::PlatformConfig pc;
-    pc.num_cores = 8;
-    sim::Platform platform(pc);
-    sim::Engine engine(platform);
-
-    scenarios::SlicingPmdXmemConfig cfg;
-    cfg.frame_bytes = frame_bytes;
-    cfg.seed = seed;
-    scenarios::SlicingPmdXmemWorld world(platform, cfg);
-    world.attach(engine);
-
-    core::IatParams params;
-    params.interval_seconds = 5e-3;
-    const auto policy =
-        core::makePolicy(kind, platform.pqos(), world.registry(),
-                         params, world.model());
-    fault::attachPolicy(engine, *policy, params.interval_seconds);
-
-    const double t1 = 0.06 * scale;
-    const double t2 = 0.20 * scale;
-    engine.at(t1, [&](double) { world.growXmem4(10 * MiB); });
-    engine.at(t2, [&](double) {
-        platform.pqos().ddioSetWays(cache::WayMask::fromRange(7, 4));
-    });
-
-    Fig10Result result;
-    // Phase 1 window: settled after T1.
-    engine.run(t1 + 0.06 * scale);
-    world.xmem(2).resetStats();
-    engine.run(0.06 * scale);
-    result.after_t1.tput_mbps =
-        world.xmem(2).avgThroughputBytesPerSec() / 1e6;
-    result.after_t1.lat_ns =
-        world.xmem(2).avgLatencySeconds() * 1e9;
-
-    // Phase 2 window: settled after T2.
-    engine.run(t2 + 0.06 * scale - platform.now());
-    world.xmem(2).resetStats();
-    engine.run(0.06 * scale);
-    result.after_t2.tput_mbps =
-        world.xmem(2).avgThroughputBytesPerSec() / 1e6;
-    result.after_t2.lat_ns =
-        world.xmem(2).avgLatencySeconds() * 1e9;
-
-    const auto snap = sim::PlatformSnapshot::capture(platform);
-    result.ddio_hits = snap.ddio_hits;
-    result.ddio_misses = snap.ddio_misses;
-    result.dram_read_bytes = snap.dram_read_bytes;
-    result.dram_write_bytes = snap.dram_write_bytes;
-    return result;
 }
 
 ChaosResult
@@ -254,6 +167,37 @@ policyParam(const exp::TrialContext &ctx)
     return kind;
 }
 
+/** Binary-search the zero-loss rate (pps) for one (frame, ring). */
+double
+fig03ZeroLossRate(std::uint32_t frame_bytes, std::uint32_t ring_entries,
+                  double window_scale, std::uint64_t seed)
+{
+    net::Rfc2544Config search;
+    search.min_rate_pps = 5e4;
+    search.max_rate_pps = net::lineRatePps40G(frame_bytes);
+    search.resolution = 0.03;
+
+    const auto trial = [&](double rate) {
+        sim::PlatformConfig pc;
+        pc.num_cores = 2;
+        sim::Platform platform(pc);
+        sim::Engine engine(platform);
+
+        scenarios::L3FwdConfig cfg;
+        cfg.frame_bytes = frame_bytes;
+        cfg.ring_entries = ring_entries;
+        cfg.rate_pps = rate;
+        cfg.seed = seed;
+        scenarios::L3FwdWorld world(platform, cfg);
+        world.attach(engine);
+        scenarios::applyStaticLayout(platform.pqos(),
+                                     world.registry());
+        return world.trialWindow(engine, 0.01 * window_scale,
+                                 0.04 * window_scale);
+    };
+    return net::rfc2544Search(trial, search);
+}
+
 exp::TrialResult
 fig03Trial(const exp::TrialContext &ctx)
 {
@@ -283,6 +227,85 @@ fig09Trial(const exp::TrialContext &ctx)
         result.add(prefix + "ovs_ways", row.ovs_ways);
         result.add(prefix + "tx_mpps", row.tx_mpps);
     }
+    return result;
+}
+
+/** Container-4 X-Mem numbers in one settled window. */
+struct Fig10Phase
+{
+    double tput_mbps = 0.0;
+    double lat_ns = 0.0;
+};
+
+/** One (policy, frame size) case of Fig 10. */
+struct Fig10Result
+{
+    Fig10Phase after_t1; ///< settled after the working-set jump
+    Fig10Phase after_t2; ///< settled after the DDIO widening
+    /// End-of-run platform counters (the telemetry-gauge surface).
+    std::uint64_t ddio_hits = 0;
+    std::uint64_t ddio_misses = 0;
+    std::uint64_t dram_read_bytes = 0;
+    std::uint64_t dram_write_bytes = 0;
+};
+
+/**
+ * Run one case under @p kind as given: the spec's policy axis lists
+ * iat-noddio, the paper's footnote-3 ablation.
+ */
+Fig10Result
+fig10RunCase(core::PolicyKind kind, std::uint32_t frame_bytes,
+             double scale, std::uint64_t seed)
+{
+    sim::PlatformConfig pc;
+    pc.num_cores = 8;
+    sim::Platform platform(pc);
+    sim::Engine engine(platform);
+
+    scenarios::SlicingPmdXmemConfig cfg;
+    cfg.frame_bytes = frame_bytes;
+    cfg.seed = seed;
+    scenarios::SlicingPmdXmemWorld world(platform, cfg);
+    world.attach(engine);
+
+    core::IatParams params;
+    params.interval_seconds = 5e-3;
+    const auto policy =
+        core::makePolicy(kind, platform.pqos(), world.registry(),
+                         params, world.model());
+    fault::attachPolicy(engine, *policy, params.interval_seconds);
+
+    const double t1 = 0.06 * scale;
+    const double t2 = 0.20 * scale;
+    engine.at(t1, [&](double) { world.growXmem4(10 * MiB); });
+    engine.at(t2, [&](double) {
+        platform.pqos().ddioSetWays(cache::WayMask::fromRange(7, 4));
+    });
+
+    Fig10Result result;
+    // Phase 1 window: settled after T1.
+    engine.run(t1 + 0.06 * scale);
+    world.xmem(2).resetStats();
+    engine.run(0.06 * scale);
+    result.after_t1.tput_mbps =
+        world.xmem(2).avgThroughputBytesPerSec() / 1e6;
+    result.after_t1.lat_ns =
+        world.xmem(2).avgLatencySeconds() * 1e9;
+
+    // Phase 2 window: settled after T2.
+    engine.run(t2 + 0.06 * scale - platform.now());
+    world.xmem(2).resetStats();
+    engine.run(0.06 * scale);
+    result.after_t2.tput_mbps =
+        world.xmem(2).avgThroughputBytesPerSec() / 1e6;
+    result.after_t2.lat_ns =
+        world.xmem(2).avgLatencySeconds() * 1e9;
+
+    const auto snap = sim::PlatformSnapshot::capture(platform);
+    result.ddio_hits = snap.ddio_hits;
+    result.ddio_misses = snap.ddio_misses;
+    result.dram_read_bytes = snap.dram_read_bytes;
+    result.dram_write_bytes = snap.dram_write_bytes;
     return result;
 }
 

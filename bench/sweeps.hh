@@ -1,13 +1,10 @@
 /**
  * @file
- * Per-figure sweep bodies, factored out of the bench binaries so the
- * same code runs two ways:
- *
- *  - the original fig* binaries call the body directly and print the
- *    paper-shaped table (they are now thin wrappers), and
- *  - registerPaperSweeps() exposes each body as an exp::TrialRegistry
- *    factory, so iatexp can run whole campaigns of them in parallel
- *    from the declarative specs under experiments/.
+ * Sweep bodies, registered as exp::TrialRegistry factories: iatexp
+ * runs each one as a campaign from its declarative spec under
+ * experiments/ (Figs 3, 9 and 10, the bakeoff, chaos, cluster and
+ * the fuzz repros). The Fig 9 ramp and the bakeoff case are
+ * exported too, for the tests that pin them.
  *
  * A body builds its entire world (Platform, Engine, scenario) from
  * its arguments -- nothing global -- which is what lets the runner
@@ -25,15 +22,6 @@
 #include "fault/plan.hh"
 
 namespace iat::bench {
-
-/// @name Fig 3: l3fwd RFC 2544 zero-loss throughput vs Rx ring size
-/// @{
-
-/** Binary-search the zero-loss rate (pps) for one (frame, ring). */
-double fig03ZeroLossRate(std::uint32_t frame_bytes,
-                         std::uint32_t ring_entries,
-                         double window_scale, std::uint64_t seed);
-/// @}
 
 /// @name Fig 9 and chaos: OVS vs flow count, ramped within one run
 /// @{
@@ -106,47 +94,14 @@ struct ChaosResult
 /**
  * Run the Fig 9 flow-count ramp (the full agg_testpmd campaign)
  * under @p kind with @p plan injected -- the one ramp body behind
- * the fig09 and chaos trials and binaries. An empty plan (any()
- * false) runs fault-free with no injector built: that is the fig09
- * ramp. A plan whose seed is 0 gets @p seed, keeping chaos trials
+ * the fig09 and chaos trials. An empty plan (any() false) runs
+ * fault-free with no injector built: that is the fig09 ramp. A
+ * plan whose seed is 0 gets @p seed, keeping chaos trials
  * reproducible per-trial.
  */
 ChaosResult chaosRunCase(core::PolicyKind kind,
                          const fault::FaultPlan &plan, bool hardening,
                          double scale, std::uint64_t seed);
-/// @}
-
-/// @name Fig 10: the shuffle cure under the scripted phases
-/// @{
-
-/** Container-4 X-Mem numbers in one settled window. */
-struct Fig10Phase
-{
-    double tput_mbps = 0.0;
-    double lat_ns = 0.0;
-};
-
-/** One (policy, frame size) case of Fig 10. */
-struct Fig10Result
-{
-    Fig10Phase after_t1; ///< settled after the working-set jump
-    Fig10Phase after_t2; ///< settled after the DDIO widening
-    /// End-of-run platform counters (the telemetry-gauge surface).
-    std::uint64_t ddio_hits = 0;
-    std::uint64_t ddio_misses = 0;
-    std::uint64_t dram_read_bytes = 0;
-    std::uint64_t dram_write_bytes = 0;
-};
-
-/**
- * Run one case under @p kind as given -- pass
- * core::PolicyKind::IatNoDdio explicitly for the paper's footnote-3
- * ablation (the fig10 binary does; the spec's policy axis lists
- * iat-noddio).
- */
-Fig10Result fig10RunCase(core::PolicyKind kind,
-                         std::uint32_t frame_bytes, double scale,
-                         std::uint64_t seed);
 /// @}
 
 /// @name Bakeoff: every policy head-to-head, with a fairness axis
@@ -181,10 +136,6 @@ struct BakeoffResult
     std::uint64_t polls_dropped = 0;
     /// @}
 };
-
-/** Scenario keys the bakeoff runs over, in table order:
- *  "agg", "slicing", "corun". */
-const std::vector<std::string> &bakeoffScenarios();
 
 /**
  * Run one case: per-tenant solo-reference passes (fault-free, full

@@ -18,6 +18,7 @@ main(int argc, char **argv)
 {
     using namespace iat;
     const CliArgs args(argc, argv);
+    bench::requireBenchFlags(args);
 
     const sim::PlatformConfig cfg;
     const auto &llc = cfg.llc;

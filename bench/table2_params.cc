@@ -14,6 +14,7 @@ main(int argc, char **argv)
 {
     using namespace iat;
     const CliArgs args(argc, argv);
+    bench::requireBenchFlags(args);
 
     const core::IatParams params;
     TablePrinter table("Table II: IAT parameters");

@@ -26,6 +26,7 @@ main(int argc, char **argv)
     using namespace iat;
     const CliArgs args(argc, argv);
     const double seconds = args.getDouble("seconds", 0.2);
+    args.requireKnown();
 
     sim::PlatformConfig pc;
     pc.num_cores = 8;

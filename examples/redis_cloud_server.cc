@@ -82,6 +82,7 @@ main(int argc, char **argv)
     const std::string mix_str = args.getString("mix", "B");
     const char mix = mix_str.empty() ? 'B' : mix_str[0];
     const double scale = args.getDouble("scale", 1.0);
+    args.requireKnown();
 
     std::printf("Consolidated cloud server: Redis(YCSB-%c) + %s + "
                 "2x X-Mem\n\n",

@@ -78,6 +78,7 @@ main(int argc, char **argv)
     using namespace iat;
     const CliArgs args(argc, argv);
     const double scale = args.getDouble("scale", 1.0);
+    args.requireKnown();
 
     std::printf("Latent Contender demo: 1.5KB line-rate VFs vs a "
                 "PC X-Mem tenant\n");

@@ -102,32 +102,13 @@ CliArgs::declareKnown(std::initializer_list<const char *> names) const
         known_.insert(name);
 }
 
-std::vector<std::string>
-CliArgs::unknownFlags() const
-{
-    std::vector<std::string> unknown;
-    for (const auto &[name, value] : flags_) {
-        if (known_.count(name) == 0)
-            unknown.push_back(name);
-    }
-    return unknown;
-}
-
-unsigned
-CliArgs::warnUnknown() const
-{
-    const auto unknown = unknownFlags();
-    for (const auto &name : unknown)
-        warn("unknown flag --%s ignored", name.c_str());
-    return static_cast<unsigned>(unknown.size());
-}
-
 void
 CliArgs::requireKnown() const
 {
-    const auto unknown = unknownFlags();
-    if (!unknown.empty())
-        fatal("unknown flag --%s", unknown.front().c_str());
+    for (const auto &[name, value] : flags_) {
+        if (known_.count(name) == 0)
+            fatal("unknown flag --%s", name.c_str());
+    }
 }
 
 } // namespace iat

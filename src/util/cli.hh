@@ -12,14 +12,13 @@
  * environment fallback) feeds the Logger, and --trace / --metrics /
  * --sample-interval feed obs::Telemetry (see obs/telemetry.hh).
  *
- * Unknown-flag diagnostics: the parser accepts any --flag, so a typo
- * (--sed=5) historically fell through to the getter defaults without
- * a trace. Every flag a binary looks up through has()/get*() is
- * recorded as known, and binaries can pre-register flags they only
- * read conditionally with declareKnown(). warnUnknown() (called by
- * the bench epilogue) then flags the leftovers; requireKnown() is
- * the strict form (fatal) used by iatexp, where a silently dropped
- * flag could invalidate a whole campaign.
+ * Unknown flags are fatal: the parser accepts any --flag, so a typo
+ * (--sed=5) would otherwise fall through to the getter defaults
+ * without a trace. Every flag a binary looks up through has()/get*()
+ * is recorded as known, and binaries can pre-register flags they
+ * only read later with declareKnown(). Every program calls
+ * requireKnown() once it has read its flags and before it simulates
+ * anything, so a typo stops the run instead of changing it.
  */
 
 #ifndef IATSIM_UTIL_CLI_HH
@@ -57,25 +56,18 @@ class CliArgs
     /** Program name (argv[0]). */
     const std::string &program() const { return program_; }
 
-    /// @name Unknown-flag diagnostics (see file comment)
+    /// @name Unknown flags (see file comment)
     /// @{
 
     /** Register flags as known without reading them. */
     void declareKnown(std::initializer_list<const char *> names) const;
 
-    /**
-     * Warn about every parsed flag never declared or looked up;
-     * returns how many there were. Call after all lookups.
-     */
-    unsigned warnUnknown() const;
-
-    /** Strict form: fatal() on the first unknown flag. */
+    /** fatal() on the first parsed flag never declared or looked
+     *  up. Call after all lookups. */
     void requireKnown() const;
     /// @}
 
   private:
-    std::vector<std::string> unknownFlags() const;
-
     std::string program_;
     std::map<std::string, std::string> flags_;
     std::vector<std::string> positional_;

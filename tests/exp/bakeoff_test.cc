@@ -31,15 +31,6 @@ bakeoffRegistry()
     return registry;
 }
 
-TEST(Bakeoff, ScenarioTableIsStable)
-{
-    const auto &scenarios = bakeoffScenarios();
-    ASSERT_EQ(scenarios.size(), 3u);
-    EXPECT_EQ(scenarios[0], "agg");
-    EXPECT_EQ(scenarios[1], "slicing");
-    EXPECT_EQ(scenarios[2], "corun");
-}
-
 TEST(Bakeoff, ShippedSpecsCoverEveryPolicy)
 {
     const auto registry = bakeoffRegistry();

@@ -1,9 +1,9 @@
 /**
  * @file
  * Tests for the bench-side sweep registration: the shipped .exp specs
- * parse and reference registered sweeps, the policy labels keep the
- * paper-facing / machine-facing split, and the cheap l3fwd probe is
- * deterministic through the full trial interface.
+ * parse and reference registered sweeps, the policy labels stay
+ * distinct, and the cheap l3fwd probe is deterministic through the
+ * full trial interface.
  */
 
 #include "bench/sweeps.hh"
@@ -61,8 +61,8 @@ TEST(Sweeps, ShippedSpecsParseAndResolve)
 
 TEST(Sweeps, FigSpecsShareTheCampaignSeed)
 {
-    // The paper-figure benches run one seed across the whole figure;
-    // the specs must reproduce that, so they pin seed_mode = shared.
+    // A paper figure runs one seed across all its cases, so the
+    // figure specs pin seed_mode = shared.
     for (const char *file : {"fig03_rx_ring.exp",
                              "fig09_flow_count.exp",
                              "fig10_shuffle.exp"}) {
@@ -78,16 +78,10 @@ TEST(Sweeps, FigSpecsShareTheCampaignSeed)
 TEST(Sweeps, PolicyLabels)
 {
     using core::PolicyKind;
-    // Machine labels are distinct per policy...
+    // Machine labels are distinct per policy: the footnote-3 ablation
+    // records apart from the full daemon.
     EXPECT_STREQ(core::toString(PolicyKind::Iat), "IAT");
     EXPECT_STREQ(core::toString(PolicyKind::IatNoDdio), "IAT-noddio");
-    // ...while the figure label folds the footnote-3 ablation back
-    // into the paper-facing name and capitalizes the related work.
-    EXPECT_STREQ(figureLabel(PolicyKind::Iat), "IAT");
-    EXPECT_STREQ(figureLabel(PolicyKind::IatNoDdio), "IAT");
-    EXPECT_STREQ(figureLabel(PolicyKind::Static), "baseline");
-    EXPECT_STREQ(figureLabel(PolicyKind::Ioca), "IOCA");
-    EXPECT_STREQ(figureLabel(PolicyKind::Lfoc), "LFOC");
 }
 
 TEST(Sweeps, ParsePolicyRoundTripsEveryLabel)

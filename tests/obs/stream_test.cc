@@ -4,24 +4,33 @@
  * kind filtering, the JSONL file sink, the ring sink's eviction and
  * newest-first views, incremental sampler/tracer emission, and the
  * reader round trip (header semantics, monotone timestamps, gap
- * measurement, truncated-tail tolerance).
+ * measurement, truncated-tail tolerance), and the Unix-socket
+ * publisher behind `iatsvc --publish`.
  */
 
 #include "obs/stream/exporter.hh"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
+#include <cstdlib>
+#include <cstring>
+#include <filesystem>
 #include <fstream>
 #include <string>
 #include <vector>
 
+#include <sys/socket.h>
+#include <sys/time.h>
+#include <sys/un.h>
 #include <unistd.h>
 
 #include "obs/sampler.hh"
 #include "obs/stream/jsonl.hh"
 #include "obs/stream/reader.hh"
 #include "obs/stream/ring.hh"
+#include "obs/stream/socket_pub.hh"
 #include "obs/trace.hh"
 #include "util/json.hh"
 
@@ -375,6 +384,70 @@ TEST(TimeSeriesSampler, RowLimitBoundsMemoryButNotTheStream)
     ASSERT_NE(capture.records[7].columns, nullptr);
     EXPECT_EQ(capture.records[7].values.size(),
               capture.records[7].columns->size());
+}
+
+TEST(SocketPublisher, ServesASubscriberAndUnlinksItsPath)
+{
+    std::string dir =
+        (std::filesystem::temp_directory_path() / "iatsim_pub_XXXXXX")
+            .string();
+    ASSERT_NE(::mkdtemp(dir.data()), nullptr);
+    const std::string path = dir + "/stream.sock";
+    // A stale file at the path, as a killed service leaves it: the
+    // publisher must replace it rather than fail to bind.
+    std::ofstream(path) << "stale";
+
+    const StreamRecord header = makeRecord(StreamKind::Header, 0.0);
+    const StreamRecord sample = makeRecord(StreamKind::Sample, 1.0);
+    {
+        SocketPublisher publisher(path);
+        ASSERT_TRUE(publisher.ok());
+
+        const int client = ::socket(AF_UNIX, SOCK_STREAM, 0);
+        ASSERT_GE(client, 0);
+        const timeval timeout{2, 0}; // a lost line fails, not hangs
+        ::setsockopt(client, SOL_SOCKET, SO_RCVTIMEO, &timeout,
+                     sizeof timeout);
+        sockaddr_un addr{};
+        addr.sun_family = AF_UNIX;
+        std::strncpy(addr.sun_path, path.c_str(),
+                     sizeof(addr.sun_path) - 1);
+        ASSERT_EQ(::connect(client,
+                            reinterpret_cast<const sockaddr *>(&addr),
+                            sizeof addr),
+                  0);
+        publisher.pump();
+        EXPECT_EQ(publisher.subscriberCount(), 1u);
+
+        publisher.handle(header);
+        publisher.handle(sample);
+        EXPECT_EQ(publisher.sent(), 2u);
+
+        std::string received;
+        char buf[512];
+        while (std::count(received.begin(), received.end(), '\n') < 2) {
+            const ssize_t n = ::recv(client, buf, sizeof buf, 0);
+            if (n <= 0)
+                break;
+            received.append(buf, static_cast<std::size_t>(n));
+        }
+        ::close(client);
+        EXPECT_EQ(received, header.json + '\n' + sample.json + '\n');
+    }
+    EXPECT_FALSE(std::filesystem::exists(path))
+        << "the destructor must unlink the socket file";
+    std::filesystem::remove_all(dir);
+}
+
+TEST(SocketPublisher, OverlongPathLeavesTheSinkInert)
+{
+    const std::string path =
+        "/tmp/" + std::string(sizeof(sockaddr_un{}.sun_path), 'x');
+    SocketPublisher publisher(path);
+    EXPECT_FALSE(publisher.ok());
+    publisher.pump();
+    publisher.handle(makeRecord(StreamKind::Sample, 1.0));
+    EXPECT_EQ(publisher.sent(), 0u);
 }
 
 } // namespace

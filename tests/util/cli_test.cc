@@ -80,23 +80,19 @@ TEST(Cli, HexInt)
 
 TEST(Cli, LookupMarksFlagKnown)
 {
-    const auto args = makeArgs({"--seed=42"});
+    // has() and every getter count as a lookup.
+    const auto args = makeArgs({"--seed=42", "--csv=x", "--quick"});
     args.getInt("seed", 0);
-    EXPECT_EQ(args.warnUnknown(), 0u);
-}
-
-TEST(Cli, WarnUnknownCountsUnreadFlags)
-{
-    const auto args = makeArgs({"--sed=5", "--typo"});
-    args.getInt("seed", 0); // the flag the user presumably meant
-    EXPECT_EQ(args.warnUnknown(), 2u);
+    args.has("csv");
+    args.getBool("quick");
+    args.requireKnown(); // must not exit
 }
 
 TEST(Cli, DeclareKnownCoversConditionalFlags)
 {
     const auto args = makeArgs({"--quick"});
     args.declareKnown({"quick", "csv"});
-    EXPECT_EQ(args.warnUnknown(), 0u);
+    args.requireKnown(); // must not exit
 }
 
 TEST(Cli, GlobalFlagFamiliesAreKnownByConstruction)
@@ -106,7 +102,7 @@ TEST(Cli, GlobalFlagFamiliesAreKnownByConstruction)
     const auto args = makeArgs({"--log-level=info", "--trace=t.jsonl",
                                 "--metrics=m.csv",
                                 "--sample-interval=5"});
-    EXPECT_EQ(args.warnUnknown(), 0u);
+    args.requireKnown(); // must not exit
 }
 
 TEST(Cli, RequireKnownPassesWhenAllFlagsRead)
@@ -122,6 +118,15 @@ TEST(CliDeath, RequireKnownExitsOnUnknownFlag)
     args.getInt("jobs", 0);
     EXPECT_EXIT(args.requireKnown(), testing::ExitedWithCode(1),
                 "unknown flag --jbos");
+}
+
+TEST(CliDeath, BareFlagTypoIsFatal)
+{
+    const auto args = makeArgs({"--seed=5", "--quik"});
+    args.getInt("seed", 0);
+    args.getBool("quick"); // the flag the user presumably meant
+    EXPECT_EXIT(args.requireKnown(), testing::ExitedWithCode(1),
+                "unknown flag --quik");
 }
 
 TEST(CliDeath, BadIntExits)

@@ -113,25 +113,27 @@ cmdRun(const CliArgs &args)
     const auto frame = static_cast<std::uint32_t>(
         args.getInt("frame", 1500));
     const std::string tenant_file = args.getString("tenants", "");
+    const std::string app = args.getString("app", "mcf");
+    const bool stats = args.getBool("stats");
+    const bool hardening = !args.getBool("no-hardening");
+    core::IatParams params;
+    params.interval_seconds = args.getDouble("interval", 5e-3);
+    // Fault injection: the --fault-* flag family (README has the
+    // table). No flags -> no injector, zero overhead.
+    fault::FaultPlan fault_plan = fault::FaultPlan::fromCli(args);
+    if (fault_plan.seed == 0)
+        fault_plan.seed = 1; // CLI runs have no trial seed to defer to
+    args.requireKnown();
 
     sim::PlatformConfig pc;
     pc.num_cores = 8;
     sim::Platform platform(pc);
     sim::Engine engine(platform);
 
-    core::IatParams params;
-    params.interval_seconds = args.getDouble("interval", 5e-3);
-
     // Observability: --trace / --metrics / --sample-interval.
     auto telemetry = obs::makeTelemetry(args);
     engine.attachTelemetry(telemetry.get());
 
-    // Fault injection: the --fault-* flag family (README has the
-    // table). No flags -> no injector, zero overhead.
-    fault::FaultPlan fault_plan = fault::FaultPlan::fromCli(args);
-    if (fault_plan.seed == 0)
-        fault_plan.seed = 1; // CLI runs have no trial seed to defer to
-    const bool hardening = !args.getBool("no-hardening");
     std::unique_ptr<fault::FaultInjector> injector;
     if (fault_plan.any()) {
         injector = std::make_unique<fault::FaultInjector>(
@@ -157,7 +159,7 @@ cmdRun(const CliArgs &args)
             platform, cfg);
     } else if (scenario == "corun") {
         scenarios::CorunConfig cfg;
-        cfg.pc_app = args.getString("app", "mcf");
+        cfg.pc_app = app;
         world = std::make_unique<scenarios::CorunWorld>(platform, cfg);
     } else {
         fatal("unknown scenario '%s' (agg|slicing|corun)",
@@ -235,7 +237,7 @@ cmdRun(const CliArgs &args)
 
     const auto snap0 = sim::PlatformSnapshot::capture(platform);
     engine.run(seconds);
-    if (args.getBool("stats")) {
+    if (stats) {
         sim::StatsReport(
             sim::PlatformSnapshot::capture(platform).since(snap0))
             .print();
@@ -357,23 +359,7 @@ cmdCluster(const CliArgs &args)
     const unsigned tcp_timeout_ms = static_cast<unsigned>(
         args.getInt("tcp-timeout-ms", 2000));
 
-    args.declareKnown({"shards", "threads", "seconds", "epoch-us",
-                       "fabric-latency-us", "batch-tenants",
-                       "scheduler", "margin", "cooldown",
-                       "dead-after", "degraded-after", "rate",
-                       "remote-rate", "batch-ws-mib", "seed", "tcp",
-                       "tcp-timeout-ms", "cfault-seed",
-                       "cfault-crash-host", "cfault-crash-epoch",
-                       "cfault-crash-recovery", "cfault-slow-host",
-                       "cfault-slow-epoch", "cfault-slow-duration",
-                       "cfault-slow-factor", "cfault-degrade-factor",
-                       "cfault-degrade-epoch",
-                       "cfault-degrade-duration", "cfault-drop-prob",
-                       "cfault-drop-epoch", "cfault-drop-duration",
-                       "cfault-partition-cut",
-                       "cfault-partition-epoch",
-                       "cfault-partition-duration"});
-    args.warnUnknown();
+    args.requireKnown();
 
     cluster::ClusterWorld world(cfg);
 
@@ -527,6 +513,9 @@ cmdService(const CliArgs &args,
 {
     const std::string path =
         args.getString("control", "iatsvc.sock");
+    const int timeout_ms =
+        static_cast<int>(args.getInt("timeout-ms", 5000));
+    args.requireKnown();
     if (words.empty())
         fatal("iatctl service needs a command (try: stats)");
 
@@ -561,9 +550,7 @@ cmdService(const CliArgs &args,
     }
 
     const svc::ControlReply reply =
-        svc::controlRequest(path, request,
-                            static_cast<int>(args.getInt(
-                                "timeout-ms", 5000)));
+        svc::controlRequest(path, request, timeout_ms);
     if (!reply.ok)
         fatal("control request failed: %s", reply.error.c_str());
     std::printf("%s\n", reply.line.c_str());
@@ -645,9 +632,12 @@ main(int argc, char **argv)
         return 1;
     }
     const std::string &cmd = args.positional()[0];
-    if (cmd == "params")
+    if (cmd == "params") {
+        args.requireKnown();
         return cmdParams();
+    }
     if (cmd == "fsm") {
+        args.requireKnown();
         return cmdFsm({args.positional().begin() + 1,
                        args.positional().end()});
     }

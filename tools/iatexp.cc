@@ -27,9 +27,9 @@
  *   iatexp list
  *       Print the registered sweeps.
  *
- * Unknown flags are an error here (CliArgs::requireKnown): a typo'd
- * flag silently falling back to a default could invalidate hours of
- * campaign, so iatexp runs the parser in strict mode.
+ * Unknown flags are an error (CliArgs::requireKnown), as in every
+ * program: a typo'd flag silently falling back to a default could
+ * invalidate hours of campaign.
  */
 
 #include <cstdio>

@@ -106,8 +106,7 @@ main(int argc, char **argv)
 
     svc::ServiceConfig cfg = svc::ServiceConfig::fromCli(args);
     const double seconds = args.getDouble("seconds", 0.0);
-    args.declareKnown({"seconds", "help", "log-level"});
-    args.warnUnknown();
+    args.requireKnown();
 
     svc::Service service(std::move(cfg));
     g_service = &service;
