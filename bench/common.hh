@@ -110,9 +110,9 @@ struct CorunSetup
     core::PolicyKind kind = core::PolicyKind::Static;
     int placement = 0;
 
-    /** Solo reference instead: the X-Mem background is paused, and
-     *  the networking app too unless @ref solo_networking, under
-     *  placement 0. The PC app always runs. */
+    /** Solo reference instead: only the measured app runs, under
+     *  placement 0 -- the PC app, or with @ref solo_networking the
+     *  networking app. The X-Mem background is paused either way. */
     bool solo = false;
     bool solo_networking = false;
 };
@@ -138,7 +138,10 @@ corunPass(const scenarios::CorunConfig &cfg, const CorunSetup &setup,
 
     std::unique_ptr<core::Policy> policy;
     if (setup.solo) {
-        if (!setup.solo_networking)
+        if (setup.solo_networking)
+            world.setTenantActive(scenarios::CorunWorld::kTenantPcApp,
+                                  false);
+        else
             world.setNetworkingActive(false);
         world.setBackgroundActive(false);
         world.applyDeterministicPlacement(0);

@@ -63,8 +63,8 @@ main(int argc, char **argv)
         cfg.pc_app = "rocksdb"; // the paper's cache-hungry PC co-runner
         cfg.redis_mix = mix;
         cfg.seed = seed;
-        // Redis is the measured app, so its solo run keeps the
-        // networking live.
+        // Redis is the measured app: its solo run keeps the
+        // networking live and pauses RocksDB and the X-Mems.
         const auto solo = bench::corunPass(
             cfg, {.solo = true, .solo_networking = true}, scale,
             redisSample);

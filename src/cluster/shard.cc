@@ -6,11 +6,11 @@
 #include "cluster/shard.hh"
 
 #include <algorithm>
-#include <cmath>
 #include <cstdio>
 #include <sstream>
 
 #include "fault/injector.hh"
+#include "util/json.hh"
 #include "util/logging.hh"
 
 namespace iat::cluster {
@@ -52,16 +52,6 @@ constexpr std::uint64_t kBatchStride = 4096 + 64;
  *  the flow id so the footprint spans the whole state region. */
 constexpr std::uint64_t kStateStride = 4096 + 64;
 constexpr std::uint64_t kStateFlowSalt = 257 * 64;
-
-std::string
-fmt(double v)
-{
-    if (!std::isfinite(v))
-        return "0";
-    char buf[40];
-    std::snprintf(buf, sizeof buf, "%.10g", v);
-    return buf;
-}
 
 /** Full-precision double for the digest (bit-exactness checks). */
 std::string
@@ -379,7 +369,8 @@ ShardHost::onEpochEnd(double now)
         header.kind = obs::stream::StreamKind::Header;
         header.t_seconds = now;
         header.json = "{\"kind\":\"header\",\"t_seconds\":" +
-                      fmt(now) + ",\"host\":" + std::to_string(id_) +
+                      json::number(now) +
+                      ",\"host\":" + std::to_string(id_) +
                       ",\"columns\":[";
         bool first = true;
         for (const char *name : kSampleGauges) {
@@ -397,7 +388,7 @@ ShardHost::onEpochEnd(double now)
     rec.kind = obs::stream::StreamKind::Sample;
     rec.t_seconds = now;
     rec.json =
-        "{\"kind\":\"sample\",\"t_seconds\":" + fmt(now) +
+        "{\"kind\":\"sample\",\"t_seconds\":" + json::number(now) +
         ",\"host\":" + std::to_string(id_) + ",\"values\":{";
     bool first = true;
     for (const char *name : kSampleGauges) {
@@ -407,7 +398,7 @@ ShardHost::onEpochEnd(double now)
         rec.json += '"';
         rec.json += name;
         rec.json += "\":";
-        rec.json += fmt(gauge(name));
+        rec.json += json::number(gauge(name));
     }
     rec.json += "}}";
     records_.push_back(std::move(rec));

@@ -134,7 +134,6 @@ class ShardHost
     sim::Engine &engine() { return engine_; }
     scenarios::AggTestPmdWorld &world() { return *world_; }
     core::IatDaemon &daemon() { return *policy_->daemon(); }
-    net::NicQueue &fabricNic() { return *fabric_nic_; }
     obs::MetricsRegistry &metrics() { return metrics_; }
     const ShardConfig &config() const { return cfg_; }
 
@@ -158,7 +157,9 @@ class ShardHost
      */
     const LatencyHistogram &hostLatency() const { return host_lat_; }
 
-    /** Per-host stream records (header + one sample per epoch). */
+    /** Per-host stream records: one header, then one sample per
+     *  epoch, each with a "host" member. digest() folds their count
+     *  and the newest record into the cluster digests. */
     const std::vector<obs::stream::StreamRecord> &records() const
     {
         return records_;

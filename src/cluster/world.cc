@@ -10,7 +10,6 @@
 #include <sstream>
 #include <thread>
 
-#include "obs/stream/exporter.hh"
 #include "util/logging.hh"
 
 namespace iat::cluster {
@@ -58,7 +57,6 @@ ClusterWorld::ClusterWorld(const ClusterConfig &cfg)
     for (unsigned s = 0; s < cfg.shards; ++s)
         shards_.push_back(
             std::make_unique<ShardHost>(s, cfg.shards, cfg.shard));
-    published_.assign(cfg.shards, 0);
     last_heartbeat_epoch_.assign(cfg.shards, 0);
 
     // Faults are pay-for-what-you-use: an empty plan builds no
@@ -184,18 +182,7 @@ ClusterWorld::run(double seconds)
                 last_heartbeat_epoch_[s] = epoch_;
         }
 
-        // 4b. Publish new records.
-        if (dispatcher_ != nullptr) {
-            for (std::size_t s = 0; s < shards_.size(); ++s) {
-                const auto &records = shards_[s]->records();
-                for (std::size_t r = published_[s];
-                     r < records.size(); ++r)
-                    dispatcher_->publish(records[r]);
-                published_[s] = records.size();
-            }
-        }
-
-        // 4c. Land migrations whose transit window elapsed (cold
+        // 4b. Land migrations whose transit window elapsed (cold
         // attach on the destination), before the scheduler acts.
         processArrivals();
 
@@ -216,7 +203,7 @@ ClusterWorld::run(double seconds)
             ages[s] = status[s].heartbeat_age;
         }
 
-        // 4d. Cluster watchdogs, then the scheduler (its verdicts
+        // 4c. Cluster watchdogs, then the scheduler (its verdicts
         // are visible to next epoch's health evaluation, not this
         // one -- a fixed, deterministic ordering).
         health_->evaluate(

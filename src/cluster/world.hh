@@ -18,10 +18,10 @@
  *      shard-id order, stamping epoch-edge-aligned delivery times
  *      (the fault hook drops/degrades frames here, still in
  *      deterministic order);
- *   4. barrier: update heartbeats, publish per-host stream records,
- *      land finished migrations (cold-cache attach on the
- *      destination), evaluate cluster health watchdogs, and let the
- *      TenantScheduler act on per-host status.
+ *   4. barrier: update heartbeats, land finished migrations
+ *      (cold-cache attach on the destination), evaluate cluster
+ *      health watchdogs, and let the TenantScheduler act on
+ *      per-host status.
  *
  * Steps 1, 3 and 4 run on the caller's thread; step 2 spawns and
  * joins worker threads each epoch, so thread creation/joining is the
@@ -62,10 +62,6 @@
 #include "fault/cluster_plan.hh"
 #include "obs/health.hh"
 #include "util/stats.hh"
-
-namespace iat::obs::stream {
-class StreamDispatcher;
-} // namespace iat::obs::stream
 
 namespace iat::cluster {
 
@@ -139,18 +135,6 @@ class ClusterWorld
     const std::vector<BatchTenant> &batchTenants() const
     {
         return batch_;
-    }
-
-    /**
-     * Stream every host's records into @p dispatcher at each barrier
-     * (nullptr detaches) -- the cluster-collector feed. Records
-     * carry a "host" member so one collector can tell hosts apart;
-     * cluster health transitions are published here too.
-     */
-    void setDispatcher(obs::stream::StreamDispatcher *dispatcher)
-    {
-        dispatcher_ = dispatcher;
-        health_->setPublisher(dispatcher);
     }
 
     /** The fault injector; nullptr when the plan is empty. */
@@ -231,8 +215,6 @@ class ClusterWorld
     std::uint64_t epoch_ = 0;
     std::vector<std::uint64_t> last_heartbeat_epoch_; ///< per shard
     std::vector<Ewma> load_ewma_; ///< smoothed scheduler load feed
-    obs::stream::StreamDispatcher *dispatcher_ = nullptr;
-    std::vector<std::size_t> published_; ///< per shard, records sent
 };
 
 } // namespace iat::cluster

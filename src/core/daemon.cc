@@ -496,8 +496,6 @@ IatDaemon::actOnState(IatState state, const SystemSample &sample)
 void
 IatDaemon::maybeShuffle(const SystemSample &sample)
 {
-    if (!shuffle_enabled_)
-        return;
     const auto order = computeShuffleOrder(
         registry_.tenants(), sample.tenants, alloc_.order());
     if (order != alloc_.order()) {
@@ -592,7 +590,6 @@ IatDaemon::tick(double now)
             timing.msr_reads = bus.readCount() - reads0;
             timing.msr_writes = bus.writeCount() - writes0;
             last_timing_ = timing;
-            last_sample_ = std::move(sample);
             return;
         }
     }
@@ -666,7 +663,6 @@ IatDaemon::tick(double now)
                 now, "ddio", "ddio.ways",
                 {{"ways", alloc_.ddioWays()}});
         }
-        last_sample_ = std::move(sample);
     };
 
     if (tracer_ && tracer_->enabled()) {

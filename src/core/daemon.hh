@@ -17,7 +17,8 @@
  * Feature toggles mirror the paper's ablations: SS VI-B disables DDIO
  * tuning to isolate shuffling ("IAT w/o ddio" in the Latent-Contender
  * experiment); SS VI-C disables tenant way tuning for the application
- * studies; Core-only disables both the I/O-Demand path and shuffling.
+ * studies. Core-only, which has neither the I/O-Demand path nor
+ * shuffling, is its own policy (CoreOnlyPolicy), not a toggle here.
  */
 
 #ifndef IATSIM_CORE_DAEMON_HH
@@ -90,7 +91,6 @@ class IatDaemon : public Policy
     /// @name Ablation toggles
     /// @{
     void setDdioTuningEnabled(bool on) { ddio_tuning_ = on; }
-    void setShuffleEnabled(bool on) { shuffle_enabled_ = on; }
     void setTenantTuningEnabled(bool on) { tenant_tuning_ = on; }
     /// @}
 
@@ -120,7 +120,6 @@ class IatDaemon : public Policy
     const IatParams &params() const { return params_; }
     TenantModel model() const { return model_; }
 
-    const SystemSample &lastSample() const { return last_sample_; }
     const DaemonStepTiming &lastTiming() const { return last_timing_; }
 
     std::uint64_t ticks() const { return ticks_; }
@@ -174,10 +173,8 @@ class IatDaemon : public Policy
     unsigned programmed_ddio_ways_ = 0;
 
     bool ddio_tuning_ = true;
-    bool shuffle_enabled_ = true;
     bool tenant_tuning_ = true;
 
-    SystemSample last_sample_;
     DaemonStepTiming last_timing_;
     std::uint64_t prev_total_refs_ = 0;
     bool have_ref_history_ = false;

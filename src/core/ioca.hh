@@ -101,7 +101,6 @@ class IocaPolicy : public Policy
     unsigned ddioWays() const { return alloc_.ddioWays(); }
     const WayAllocator &allocator() const { return alloc_; }
     Monitor &monitor() { return monitor_; }
-    const IocaParams &iocaParams() const { return ioca_; }
     /// @}
 
   private:

@@ -27,13 +27,12 @@ inWindow(std::uint64_t epoch, std::uint64_t start,
 ClusterFaultInjector::ClusterFaultInjector(
     const ClusterFaultPlan &plan, unsigned num_shards,
     std::uint64_t trial_seed)
-    : plan_(plan), num_shards_(num_shards),
-      effective_seed_(plan.seed ? plan.seed : trial_seed)
+    : plan_(plan), num_shards_(num_shards)
 {
     IAT_ASSERT(num_shards >= 1, "injector needs shards");
     // A distinct stream from every other consumer of the trial seed:
     // the coin sequence must not correlate with traffic generators.
-    drop_state_ = effective_seed_ ^ 0xc1a5f4u;
+    drop_state_ = (plan.seed ? plan.seed : trial_seed) ^ 0xc1a5f4u;
 }
 
 bool

@@ -93,12 +93,10 @@ class ClusterFaultInjector final : public cluster::FabricFaultHook
     /// @}
 
     const ClusterFaultPlan &plan() const { return plan_; }
-    std::uint64_t effectiveSeed() const { return effective_seed_; }
 
   private:
     ClusterFaultPlan plan_;
     unsigned num_shards_;
-    std::uint64_t effective_seed_;
     std::uint64_t epoch_ = 0;
     std::uint64_t drop_state_; ///< splitmix64 coin stream
 

@@ -110,7 +110,6 @@ class NicQueue
     /** Rx descriptor fetch stall: arrivals drop as if no descriptor
      *  were posted, without the ring actually being full. */
     void setRxStalled(bool stalled) { rx_stalled_ = stalled; }
-    bool rxStalled() const { return rx_stalled_; }
     /// @}
 
     /** Retarget the offered rate (RFC2544 search, phases). */

@@ -8,7 +8,6 @@
 #include <algorithm>
 #include <cmath>
 #include <cstddef>
-#include <cstdio>
 
 #include "obs/metrics.hh"
 #include "obs/stream/ring.hh"
@@ -17,16 +16,6 @@
 namespace iat::obs {
 
 namespace {
-
-std::string
-jsonNumber(double v)
-{
-    if (!std::isfinite(v))
-        return "0";
-    char buf[32];
-    std::snprintf(buf, sizeof buf, "%.10g", v);
-    return buf;
-}
 
 /** Value of column @p name in a Sample record; NaN when absent. */
 double
@@ -50,9 +39,9 @@ ruleJson(const RuleStatus &rule)
     out += ",\"firing\":";
     out += rule.firing ? "true" : "false";
     out += ",\"value\":";
-    out += jsonNumber(rule.value);
+    out += json::number(rule.value);
     out += ",\"threshold\":";
-    out += jsonNumber(rule.threshold);
+    out += json::number(rule.threshold);
     out += '}';
     return out;
 }
@@ -72,11 +61,11 @@ std::string
 HealthStatus::toJson(std::uint64_t transitions) const
 {
     std::string out = "{\"t_seconds\":";
-    out += jsonNumber(t_seconds);
+    out += json::number(t_seconds);
     out += ",\"ok\":";
     out += ok ? "true" : "false";
     out += ",\"transitions\":";
-    out += jsonNumber(static_cast<double>(transitions));
+    out += json::number(static_cast<double>(transitions));
     out += ",\"rules\":[";
     for (std::size_t i = 0; i < rules.size(); ++i) {
         if (i)
@@ -106,7 +95,6 @@ HealthMonitor::HealthMonitor(HealthConfig cfg,
 const HealthStatus &
 HealthMonitor::evaluate(double now)
 {
-    ++evaluations_;
     if (first_eval_seconds_ < 0.0)
         first_eval_seconds_ = now;
     status_.t_seconds = now;
@@ -205,7 +193,7 @@ HealthMonitor::noteTransitions(double now)
         rec.kind = stream::StreamKind::Health;
         rec.t_seconds = now;
         rec.json = "{\"kind\":\"health\",\"t_seconds\":";
-        rec.json += jsonNumber(now);
+        rec.json += json::number(now);
         rec.json += ",\"rule\":";
         rec.json += ruleJson(rule);
         rec.json += '}';
@@ -297,31 +285,19 @@ ClusterHealthMonitor::evaluate(
         if (rule.enabled && rule.firing)
             status_.ok = false;
 
-    noteTransitions(now);
+    noteTransitions();
     return status_;
 }
 
 void
-ClusterHealthMonitor::noteTransitions(double now)
+ClusterHealthMonitor::noteTransitions()
 {
     for (std::size_t i = 0; i < status_.rules.size(); ++i) {
-        const RuleStatus &rule = status_.rules[i];
-        if (rule.firing == static_cast<bool>(was_firing_[i]))
+        const bool firing = status_.rules[i].firing;
+        if (firing == static_cast<bool>(was_firing_[i]))
             continue;
-        was_firing_[i] = rule.firing;
+        was_firing_[i] = firing;
         ++transitions_;
-        if (!publish_)
-            continue;
-        stream::StreamRecord rec;
-        rec.kind = stream::StreamKind::Health;
-        rec.t_seconds = now;
-        rec.json = "{\"kind\":\"health\",\"scope\":\"cluster\","
-                   "\"t_seconds\":";
-        rec.json += jsonNumber(now);
-        rec.json += ",\"rule\":";
-        rec.json += ruleJson(rule);
-        rec.json += '}';
-        publish_->publish(rec);
     }
 }
 

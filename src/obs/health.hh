@@ -131,9 +131,6 @@ class HealthMonitor
     /** Rule transitions (either direction) since construction. */
     std::uint64_t transitions() const { return transitions_; }
 
-    /** Evaluation passes run. */
-    std::uint64_t evaluations() const { return evaluations_; }
-
     const HealthConfig &config() const { return cfg_; }
 
   private:
@@ -147,7 +144,6 @@ class HealthMonitor
     HealthStatus status_;
     std::vector<bool> was_firing_; ///< aligned with status_.rules
     std::uint64_t transitions_ = 0;
-    std::uint64_t evaluations_ = 0;
     double first_eval_seconds_ = -1.0;
 };
 
@@ -174,14 +170,13 @@ struct ClusterHealthConfig
  * each epoch barrier over control-plane observables: per-host
  * heartbeat ages and the migration ledger. Three rules --
  * host_down, partition_detected, migration_storm -- reuse the
- * RuleStatus/HealthStatus machinery above, and every transition
- * publishes a Health record through the stream dispatcher exactly
- * like the per-host HealthMonitor, so `iatctl cluster` subscribers
- * see cluster incidents inline with telemetry.
+ * RuleStatus/HealthStatus machinery above. Transitions are counted,
+ * not published: the count folds into the world digest and the
+ * `health_transitions` campaign metric, and `iatctl cluster` prints
+ * it with the rules still firing.
  *
  * Determinism: evaluate() is called at the barrier with inputs that
- * are themselves bit-deterministic, so the transition log (and its
- * count, which folds into the world digest) is too.
+ * are themselves bit-deterministic, so the transition count is too.
  */
 class ClusterHealthMonitor
 {
@@ -190,13 +185,6 @@ class ClusterHealthMonitor
      *  @p dead_after_epochs; 0 disables it and partition_detected. */
     ClusterHealthMonitor(ClusterHealthConfig cfg,
                          std::uint64_t dead_after_epochs);
-
-    /** Install (or clear) the dispatcher transitions publish to;
-     *  the World wires this after building its stream pipeline. */
-    void setPublisher(stream::StreamDispatcher *publish)
-    {
-        publish_ = publish;
-    }
 
     /**
      * Evaluate at epoch @p epoch (simulated time @p now) given each
@@ -212,11 +200,10 @@ class ClusterHealthMonitor
     const ClusterHealthConfig &config() const { return cfg_; }
 
   private:
-    void noteTransitions(double now);
+    void noteTransitions();
 
     ClusterHealthConfig cfg_;
     std::uint64_t dead_after_epochs_;
-    stream::StreamDispatcher *publish_ = nullptr;
 
     HealthStatus status_;
     std::vector<bool> was_firing_;

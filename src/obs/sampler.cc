@@ -5,8 +5,6 @@
 
 #include "obs/sampler.hh"
 
-#include <cmath>
-#include <cstdio>
 #include <fstream>
 #include <ostream>
 
@@ -15,20 +13,6 @@
 #include "util/logging.hh"
 
 namespace iat::obs {
-
-namespace {
-
-std::string
-formatValue(double v)
-{
-    if (!std::isfinite(v))
-        return "0";
-    char buf[32];
-    std::snprintf(buf, sizeof buf, "%.10g", v);
-    return buf;
-}
-
-} // namespace
 
 const char *
 toString(ColumnSemantics semantics)
@@ -132,7 +116,7 @@ TimeSeriesSampler::publishHeader(double now)
     rec.columns = columns_;
     std::string &out = rec.json;
     out = "{\"kind\":\"header\",\"t_seconds\":";
-    out += formatValue(now);
+    out += json::number(now);
     out += ",\"columns\":[";
     for (std::size_t i = 0; i < columns_->size(); ++i) {
         if (i)
@@ -160,7 +144,7 @@ TimeSeriesSampler::publishRow(const Row &row)
     rec.values = row.values;
     std::string &out = rec.json;
     out = "{\"kind\":\"sample\",\"t_seconds\":";
-    out += formatValue(row.t);
+    out += json::number(row.t);
     out += ",\"values\":{";
     for (std::size_t i = 0; i < columns_->size(); ++i) {
         if (i)
@@ -168,7 +152,7 @@ TimeSeriesSampler::publishRow(const Row &row)
         out += '"';
         out += json::escape((*columns_)[i]);
         out += "\":";
-        out += formatValue(row.values[i]);
+        out += json::number(row.values[i]);
     }
     out += "}}";
     stream_->publish(rec);
@@ -236,9 +220,9 @@ TimeSeriesSampler::writeCsv(std::ostream &os) const
         os << ',' << name;
     os << '\n';
     for (const auto &row : rows_) {
-        os << formatValue(row.t);
+        os << json::number(row.t);
         for (const double v : row.values)
-            os << ',' << formatValue(v);
+            os << ',' << json::number(v);
         os << '\n';
     }
 }
@@ -247,10 +231,10 @@ void
 TimeSeriesSampler::writeJsonl(std::ostream &os) const
 {
     for (const auto &row : rows_) {
-        os << "{\"t_seconds\":" << formatValue(row.t);
+        os << "{\"t_seconds\":" << json::number(row.t);
         for (std::size_t i = 0; i < columns_->size(); ++i) {
             os << ",\"" << json::escape((*columns_)[i])
-               << "\":" << formatValue(row.values[i]);
+               << "\":" << json::number(row.values[i]);
         }
         os << "}\n";
     }

@@ -76,14 +76,6 @@ class TimeSeriesSampler
      *  the first sample. */
     const std::vector<std::string> &columns() const;
 
-    /** Per-column delta/level/cumulative semantics; aligned with
-     *  columns(). */
-    const std::vector<ColumnSemantics> &
-    columnSemantics() const
-    {
-        return semantics_;
-    }
-
     /** Rows currently buffered (the retained window when a row
      *  limit is set). */
     std::size_t rowCount() const { return rows_.size(); }
@@ -112,8 +104,6 @@ class TimeSeriesSampler
     /** Bound the in-memory row buffer to @p limit rows (0 = keep
      *  everything, the default). Oldest rows are discarded first. */
     void setRowLimit(std::size_t limit);
-
-    std::size_t rowLimit() const { return row_limit_; }
     /// @}
 
     /// @name Serialization

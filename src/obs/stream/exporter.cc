@@ -29,15 +29,6 @@ StreamDispatcher::add(Exporter *exporter)
     sinks_.push_back(Sink{exporter, 0});
 }
 
-Exporter *
-StreamDispatcher::adopt(std::unique_ptr<Exporter> exporter)
-{
-    Exporter *raw = exporter.get();
-    owned_.push_back(std::move(exporter));
-    add(raw);
-    return raw;
-}
-
 void
 StreamDispatcher::publish(const StreamRecord &record)
 {

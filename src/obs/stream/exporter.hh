@@ -22,7 +22,6 @@
 #define IATSIM_OBS_STREAM_EXPORTER_HH
 
 #include <cstdint>
-#include <memory>
 #include <vector>
 
 #include "obs/stream/record.hh"
@@ -78,8 +77,6 @@ class KindFilteredExporter : public Exporter
         return (kind_mask_ & kindBit(kind)) != 0;
     }
 
-    unsigned kindMask() const { return kind_mask_; }
-
   private:
     unsigned kind_mask_;
 };
@@ -99,16 +96,11 @@ class StreamDispatcher
     /** Register a sink the caller keeps alive (not owned). */
     void add(Exporter *exporter);
 
-    /** Register a sink the dispatcher owns. */
-    Exporter *adopt(std::unique_ptr<Exporter> exporter);
-
     /** Hand @p record to every sink whose wants() matches. */
     void publish(const StreamRecord &record);
 
     /** Flush every sink. */
     void flushAll();
-
-    std::size_t sinkCount() const { return sinks_.size(); }
 
     /** Records accepted into the pipeline (pre-fan-out). */
     std::uint64_t published() const { return published_; }
@@ -134,7 +126,6 @@ class StreamDispatcher
     };
 
     std::vector<Sink> sinks_;
-    std::vector<std::unique_ptr<Exporter>> owned_;
     std::uint64_t published_ = 0;
     std::uint64_t by_kind_[kStreamKindCount] = {};
 };

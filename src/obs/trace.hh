@@ -119,8 +119,6 @@ class Tracer
      * while the stream carries the full history.
      */
     void setEventLimit(std::size_t limit);
-
-    std::size_t eventLimit() const { return event_limit_; }
     /// @}
 
     /** Events matching @p category and @p name (test convenience). */

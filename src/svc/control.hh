@@ -51,7 +51,6 @@ class ControlServer
 
     bool ok() const { return listen_fd_ >= 0; }
     const std::string &path() const { return path_; }
-    std::size_t clientCount() const { return clients_.size(); }
     std::uint64_t commands() const { return commands_; }
     std::uint64_t disconnects() const { return disconnects_; }
 

@@ -5,7 +5,6 @@
 
 #include "svc/service.hh"
 
-#include <cmath>
 #include <cstdio>
 #include <thread>
 
@@ -24,16 +23,6 @@ constexpr const char *kDefaultTenants =
     "web   cores=0,1 ways=3 prio=pc io=1\n"
     "db    cores=2,3 ways=3 prio=pc io=0\n"
     "batch cores=4,5 ways=2 prio=be io=0\n";
-
-std::string
-jnum(double v)
-{
-    if (!std::isfinite(v))
-        return "0";
-    char buf[32];
-    std::snprintf(buf, sizeof buf, "%.10g", v);
-    return buf;
-}
 
 std::string
 jnum(std::uint64_t v)
@@ -81,8 +70,6 @@ ServiceConfig::fromCli(const CliArgs &args)
     cfg.control_path = args.getString("control", "iatsvc.sock");
     cfg.stream_path = args.getString("stream", "");
     cfg.publish_path = args.getString("publish", "");
-    cfg.publish_tcp_port =
-        static_cast<int>(args.getInt("publish-tcp", -1));
     cfg.trace_path = args.getString("trace", "");
     cfg.metrics_path = args.getString("metrics", "");
     cfg.interval_seconds = args.getDouble("interval", 5e-3);
@@ -174,15 +161,6 @@ Service::buildStream()
             warn("publish sink disabled (cannot listen on %s)",
                  cfg_.publish_path.c_str());
         dispatcher_.add(pub_.get());
-    }
-    if (cfg_.publish_tcp_port >= 0) {
-        tcp_pub_ = std::make_unique<obs::stream::TcpPublisher>(
-            static_cast<std::uint16_t>(cfg_.publish_tcp_port));
-        if (!tcp_pub_->ok())
-            warn("tcp publish sink disabled (cannot listen on "
-                 "port %d)",
-                 cfg_.publish_tcp_port);
-        dispatcher_.add(tcp_pub_.get());
     }
     ring_ = std::make_unique<obs::stream::RingBufferExporter>(
         cfg_.ring_capacity,
@@ -296,8 +274,6 @@ Service::installHooks()
         [this](double now) {
             if (pub_)
                 pub_->pump();
-            if (tcp_pub_)
-                tcp_pub_->pump();
             if (control_) {
                 control_->pump([this](const std::string &line) {
                     return handleCommand(line);
@@ -370,8 +346,8 @@ Service::publishLifecycle(double now, const char *event,
     obs::stream::StreamRecord rec;
     rec.kind = obs::stream::StreamKind::Lifecycle;
     rec.t_seconds = now;
-    rec.json = "{\"kind\":\"lifecycle\",\"t_seconds\":" + jnum(now) +
-               ",\"event\":" + jstr(event);
+    rec.json = "{\"kind\":\"lifecycle\",\"t_seconds\":" +
+               json::number(now) + ",\"event\":" + jstr(event);
     if (!detail.empty())
         rec.json += ",\"detail\":" + jstr(detail);
     rec.json += '}';
@@ -408,7 +384,7 @@ Service::cmdStats()
     sinks += ']';
 
     std::string out = "{\"ok\":true,\"t_seconds\":" +
-                      jnum(platform_.now());
+                      json::number(platform_.now());
     out += ",\"tenants\":" + jnum(std::uint64_t{registry_.size()});
     out += ",\"policy\":" + jstr(policy_->name());
     if (daemon_ != nullptr) {
@@ -420,7 +396,8 @@ Service::cmdStats()
                jnum(daemon_->missedPolls()) + ",\"ddio_ways\":" +
                jnum(std::uint64_t{daemon_->ddioWays()}) + '}';
     }
-    out += ",\"traffic\":{\"rate\":" + jnum(traffic_->rate()) +
+    out += ",\"traffic\":{\"rate\":" +
+           json::number(traffic_->rate()) +
            ",\"dma_lines\":" + jnum(traffic_->dmaLines()) +
            ",\"core_reads\":" + jnum(traffic_->coreReads()) + '}';
     out += ",\"stream\":{\"published\":" +
@@ -432,13 +409,6 @@ Service::cmdStats()
     if (pub_) {
         out += ",\"subscribers\":" +
                jnum(std::uint64_t{pub_->subscriberCount()});
-    }
-    if (tcp_pub_) {
-        out += ",\"tcp\":{\"port\":" +
-               jnum(std::uint64_t{tcp_pub_->port()}) +
-               ",\"subscribers\":" +
-               jnum(std::uint64_t{tcp_pub_->subscriberCount()}) +
-               ",\"sent\":" + jnum(tcp_pub_->sent()) + '}';
     }
     if (injector_) {
         out += ",\"faults\":{\"suspended\":";
@@ -558,8 +528,9 @@ Service::cmdSetTraffic(const json::Value &cmd)
         return errorReply("set-traffic needs a numeric rate");
     traffic_->setRate(rate->number);
     publishLifecycle(platform_.now(), "set-traffic",
-                     jnum(traffic_->rate()));
-    return "{\"ok\":true,\"rate\":" + jnum(traffic_->rate()) + '}';
+                     json::number(traffic_->rate()));
+    return "{\"ok\":true,\"rate\":" +
+           json::number(traffic_->rate()) + '}';
 }
 
 std::string

@@ -50,7 +50,6 @@
 #include "obs/stream/jsonl.hh"
 #include "obs/stream/ring.hh"
 #include "obs/stream/socket_pub.hh"
-#include "obs/stream/tcp_pub.hh"
 #include "obs/telemetry.hh"
 #include "sim/engine.hh"
 #include "sim/telemetry.hh"
@@ -67,9 +66,6 @@ struct ServiceConfig
     std::string control_path;  ///< "" = no control socket
     std::string stream_path;   ///< JSONL sink; "" = off
     std::string publish_path;  ///< live pub socket; "" = off
-    /** TCP publisher port (cluster collector feed): -1 = off,
-     *  0 = ephemeral (the OS picks; stats report the binding). */
-    int publish_tcp_port = -1;
     std::string trace_path;    ///< snapshot trace file; "" = off
     std::string metrics_path;  ///< snapshot time series; "" = off
 
@@ -135,11 +131,6 @@ class Service
     obs::Telemetry &telemetry() { return *telemetry_; }
     obs::stream::StreamDispatcher &stream() { return dispatcher_; }
     obs::stream::RingBufferExporter &ring() { return *ring_; }
-    /** The TCP publisher; null unless --publish-tcp was given. */
-    obs::stream::TcpPublisher *tcpPublisher()
-    {
-        return tcp_pub_.get();
-    }
     obs::HealthMonitor &health() { return *health_; }
     SyntheticTraffic &traffic() { return *traffic_; }
     fault::FaultInjector *injector() { return injector_.get(); }
@@ -183,7 +174,6 @@ class Service
     std::unique_ptr<obs::stream::RingBufferExporter> ring_;
     std::unique_ptr<obs::stream::JsonlFileExporter> jsonl_;
     std::unique_ptr<obs::stream::SocketPublisher> pub_;
-    std::unique_ptr<obs::stream::TcpPublisher> tcp_pub_;
 
     core::TenantRegistry registry_;
     std::unique_ptr<core::Policy> policy_;

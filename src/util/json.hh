@@ -13,6 +13,7 @@
 #define IATSIM_UTIL_JSON_HH
 
 #include <cctype>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <memory>
@@ -277,6 +278,21 @@ escape(const std::string &s)
         }
     }
     return out;
+}
+
+/** A double as a JSON number: %.10g, and 0 for NaN or infinity,
+ *  which JSON cannot carry. The one formatter behind the sampler's
+ *  rows, health records, the service's control replies and the
+ *  cluster hosts' stream records; the trace, campaign records and
+ *  cluster digests keep %.17g, which round-trips a double exactly. */
+inline std::string
+number(double v)
+{
+    if (!std::isfinite(v))
+        return "0";
+    char buf[32];
+    std::snprintf(buf, sizeof buf, "%.10g", v);
+    return buf;
 }
 
 } // namespace iat::json

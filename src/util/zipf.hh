@@ -38,7 +38,6 @@ class ZipfGenerator
      */
     std::uint64_t nextScrambled(Rng &rng);
 
-    std::uint64_t itemCount() const { return n_; }
     double theta() const { return theta_; }
 
   private:

@@ -90,8 +90,6 @@ class VSwitchTables
     VSwitchTables(sim::Platform &platform, std::uint64_t max_flows,
                   std::uint32_t emc_entries = 8192);
 
-    std::uint32_t emcEntries() const { return emc_entries_; }
-
     /** Functional EMC lookup: true if @p flow occupies its slot. */
     bool emcProbe(std::uint64_t flow) const;
     void emcInstall(std::uint64_t flow);

@@ -19,7 +19,7 @@ constexpr std::uint64_t kInstructionsPerOp = 40;
 StreamWorkload::StreamWorkload(sim::Platform &platform,
                                cache::CoreId core, std::string name,
                                std::uint64_t array_bytes)
-    : MemWorkload(platform, core, name), array_bytes_(array_bytes),
+    : MemWorkload(platform, core, name),
       lines_per_array_(array_bytes / cacheLineBytes),
       a_(platform.addressSpace().alloc(array_bytes, name + ".a")),
       b_(platform.addressSpace().alloc(array_bytes, name + ".b")),

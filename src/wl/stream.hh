@@ -33,13 +33,10 @@ class StreamWorkload : public MemWorkload
      *  three lines move per op (two reads + one write). */
     double bandwidthBytesPerSec() const;
 
-    std::uint64_t arrayBytes() const { return array_bytes_; }
-
   protected:
     double step(double now) override;
 
   private:
-    std::uint64_t array_bytes_;
     std::uint64_t lines_per_array_;
     sim::AddressSpace::Region a_;
     sim::AddressSpace::Region b_;

@@ -3,7 +3,8 @@
  * The sharded world's central contract: a run's digest is a pure
  * function of the configuration -- never of the worker-thread count.
  * Exercises 2-shard and 4-shard worlds against the single-threaded
- * reference interleaving, plus basic sanity of the digest itself.
+ * reference interleaving, plus basic sanity of the digest itself and
+ * of the per-host stream records the digest folds in.
  */
 
 #include "cluster/world.hh"
@@ -11,6 +12,9 @@
 #include <gtest/gtest.h>
 
 #include <string>
+
+#include "obs/stream/reader.hh"
+#include "util/json.hh"
 
 namespace iat::cluster {
 namespace {
@@ -82,6 +86,36 @@ TEST(WorldDeterminism, ThreadCountClampsToShards)
     ClusterConfig cfg = makeConfig(2, 16, 1);
     ClusterWorld world(cfg);
     EXPECT_LE(world.workerThreads(), 2u);
+}
+
+TEST(ShardRecords, EveryHostStreamsAHeaderAndOneSamplePerEpoch)
+{
+    const ClusterConfig cfg = makeConfig(2, 1, 1);
+    const std::uint64_t epochs = 6;
+    ClusterWorld world(cfg);
+    world.run(static_cast<double>(epochs) * cfg.epoch_seconds);
+
+    for (unsigned s = 0; s < world.shardCount(); ++s) {
+        std::string text;
+        for (const auto &record : world.shard(s).records()) {
+            text += record.json;
+            text += '\n';
+            // Every record names its host, so the hosts' records
+            // can be told apart once merged.
+            const auto parsed = json::parse(record.json);
+            ASSERT_NE(parsed, nullptr) << record.json;
+            const json::Value *host = parsed->find("host");
+            ASSERT_NE(host, nullptr) << record.json;
+            EXPECT_EQ(host->number, static_cast<double>(s));
+        }
+        const auto log = obs::stream::parseStream(text);
+        EXPECT_EQ(log.header_count, 1u) << "host " << s;
+        EXPECT_EQ(log.samples.size(), epochs) << "host " << s;
+        EXPECT_EQ(log.bad_lines, 0u) << "host " << s;
+        ASSERT_FALSE(log.columns.empty());
+        for (const auto &sample : log.samples)
+            EXPECT_EQ(sample.values.size(), log.columns.size());
+    }
 }
 
 } // namespace

@@ -2,8 +2,9 @@
  * @file
  * Tests for the bench-side sweep registration: the shipped .exp specs
  * parse and reference registered sweeps, the policy labels stay
- * distinct, and the cheap l3fwd probe is deterministic through the
- * full trial interface.
+ * distinct, the cheap l3fwd probe is deterministic through the
+ * full trial interface, and a solo co-run pass runs only the app it
+ * measures.
  */
 
 #include "bench/sweeps.hh"
@@ -155,6 +156,40 @@ TEST(Sweeps, L3fwdTrialRequiresRate)
     ctx.sweep = "l3fwd";
     ctx.scale = 0.1;
     EXPECT_THROW(entry->fn(ctx), std::runtime_error);
+}
+
+/** What a co-run pass leaves running: each app's window progress. */
+struct Activity
+{
+    std::uint64_t pc_app = 0;
+    std::uint64_t networking = 0;
+};
+
+Activity
+soloActivity(const CorunSetup &setup)
+{
+    scenarios::CorunConfig cfg;
+    cfg.net_app = scenarios::CorunConfig::NetApp::Redis;
+    cfg.pc_app = "rocksdb";
+    return corunPass(cfg, setup, 0.1,
+                     [](scenarios::CorunWorld &world, double) {
+                         return Activity{world.pcAppProgress(),
+                                         world.delivered()};
+                     });
+}
+
+TEST(CorunPass, SoloRunsOnlyTheMeasuredApp)
+{
+    // Fig 14's reference: Redis alone, RocksDB paused.
+    const Activity net =
+        soloActivity({.solo = true, .solo_networking = true});
+    EXPECT_EQ(net.pc_app, 0u);
+    EXPECT_GT(net.networking, 0u);
+
+    // Figs 12 and 13's reference: the PC app alone.
+    const Activity pc = soloActivity({.solo = true});
+    EXPECT_GT(pc.pc_app, 0u);
+    EXPECT_EQ(pc.networking, 0u);
 }
 
 } // namespace

@@ -5,7 +5,8 @@
  * newest-first views, incremental sampler/tracer emission, and the
  * reader round trip (header semantics, monotone timestamps, gap
  * measurement, truncated-tail tolerance), and the Unix-socket
- * publisher behind `iatsvc --publish`.
+ * publisher behind `iatsvc --publish`: late-subscriber catch-up and
+ * the disconnect of a subscriber that never reads.
  */
 
 #include "obs/stream/exporter.hh"
@@ -13,6 +14,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -386,57 +388,163 @@ TEST(TimeSeriesSampler, RowLimitBoundsMemoryButNotTheStream)
               capture.records[7].columns->size());
 }
 
+/** A fresh directory for one publisher's socket file; path stays
+ *  empty if the directory cannot be made. */
+class SocketDir
+{
+  public:
+    SocketDir()
+    {
+        dir_ = (std::filesystem::temp_directory_path() /
+                "iatsim_pub_XXXXXX")
+                   .string();
+        if (::mkdtemp(dir_.data()) == nullptr)
+            dir_.clear();
+        else
+            path = dir_ + "/stream.sock";
+    }
+    ~SocketDir()
+    {
+        if (!dir_.empty())
+            std::filesystem::remove_all(dir_);
+    }
+    SocketDir(const SocketDir &) = delete;
+    SocketDir &operator=(const SocketDir &) = delete;
+
+    std::string path;
+
+  private:
+    std::string dir_;
+};
+
+/** Connect a subscriber to @p path; -1 on failure. Reads time out
+ *  after 2 s, so a lost line fails the test instead of hanging it. */
+int
+subscribe(const std::string &path)
+{
+    const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
+    if (fd < 0)
+        return -1;
+    const timeval timeout{2, 0};
+    ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &timeout,
+                 sizeof timeout);
+    sockaddr_un addr{};
+    addr.sun_family = AF_UNIX;
+    std::strncpy(addr.sun_path, path.c_str(),
+                 sizeof(addr.sun_path) - 1);
+    if (::connect(fd, reinterpret_cast<const sockaddr *>(&addr),
+                  sizeof addr) != 0) {
+        ::close(fd);
+        return -1;
+    }
+    return fd;
+}
+
+/** Read from @p fd until @p lines newlines have arrived (or the
+ *  read times out), and close it. */
+std::string
+receiveLines(int fd, long lines)
+{
+    std::string received;
+    char buf[512];
+    while (std::count(received.begin(), received.end(), '\n') <
+           lines) {
+        const ssize_t n = ::recv(fd, buf, sizeof buf, 0);
+        if (n <= 0)
+            break;
+        received.append(buf, static_cast<std::size_t>(n));
+    }
+    ::close(fd);
+    return received;
+}
+
 TEST(SocketPublisher, ServesASubscriberAndUnlinksItsPath)
 {
-    std::string dir =
-        (std::filesystem::temp_directory_path() / "iatsim_pub_XXXXXX")
-            .string();
-    ASSERT_NE(::mkdtemp(dir.data()), nullptr);
-    const std::string path = dir + "/stream.sock";
+    const SocketDir dir;
+    ASSERT_FALSE(dir.path.empty());
     // A stale file at the path, as a killed service leaves it: the
     // publisher must replace it rather than fail to bind.
-    std::ofstream(path) << "stale";
+    std::ofstream(dir.path) << "stale";
 
     const StreamRecord header = makeRecord(StreamKind::Header, 0.0);
     const StreamRecord sample = makeRecord(StreamKind::Sample, 1.0);
     {
-        SocketPublisher publisher(path);
+        SocketPublisher publisher(dir.path);
         ASSERT_TRUE(publisher.ok());
 
-        const int client = ::socket(AF_UNIX, SOCK_STREAM, 0);
+        const int client = subscribe(dir.path);
         ASSERT_GE(client, 0);
-        const timeval timeout{2, 0}; // a lost line fails, not hangs
-        ::setsockopt(client, SOL_SOCKET, SO_RCVTIMEO, &timeout,
-                     sizeof timeout);
-        sockaddr_un addr{};
-        addr.sun_family = AF_UNIX;
-        std::strncpy(addr.sun_path, path.c_str(),
-                     sizeof(addr.sun_path) - 1);
-        ASSERT_EQ(::connect(client,
-                            reinterpret_cast<const sockaddr *>(&addr),
-                            sizeof addr),
-                  0);
         publisher.pump();
         EXPECT_EQ(publisher.subscriberCount(), 1u);
 
         publisher.handle(header);
         publisher.handle(sample);
         EXPECT_EQ(publisher.sent(), 2u);
-
-        std::string received;
-        char buf[512];
-        while (std::count(received.begin(), received.end(), '\n') < 2) {
-            const ssize_t n = ::recv(client, buf, sizeof buf, 0);
-            if (n <= 0)
-                break;
-            received.append(buf, static_cast<std::size_t>(n));
-        }
-        ::close(client);
-        EXPECT_EQ(received, header.json + '\n' + sample.json + '\n');
+        EXPECT_EQ(receiveLines(client, 2),
+                  header.json + '\n' + sample.json + '\n');
     }
-    EXPECT_FALSE(std::filesystem::exists(path))
+    EXPECT_FALSE(std::filesystem::exists(dir.path))
         << "the destructor must unlink the socket file";
-    std::filesystem::remove_all(dir);
+}
+
+TEST(SocketPublisher, LateSubscriberIsCaughtUpWithHeader)
+{
+    const SocketDir dir;
+    ASSERT_FALSE(dir.path.empty());
+    SocketPublisher publisher(dir.path);
+    ASSERT_TRUE(publisher.ok());
+
+    const StreamRecord header = makeRecord(StreamKind::Header, 0.0);
+    const StreamRecord early = makeRecord(StreamKind::Sample, 1.0);
+    const StreamRecord late = makeRecord(StreamKind::Sample, 2.0);
+    publisher.handle(header);
+    publisher.handle(early);
+
+    // A subscriber joining mid-stream gets the latest header before
+    // any sample, or its rows would be undecodable.
+    const int client = subscribe(dir.path);
+    ASSERT_GE(client, 0);
+    publisher.pump();
+    ASSERT_EQ(publisher.subscriberCount(), 1u);
+    publisher.handle(late);
+    EXPECT_EQ(receiveLines(client, 2),
+              header.json + '\n' + late.json + '\n');
+}
+
+TEST(SocketPublisher, DisconnectsASubscriberThatNeverReads)
+{
+    const SocketDir dir;
+    ASSERT_FALSE(dir.path.empty());
+    SocketPublisher publisher(dir.path);
+    ASSERT_TRUE(publisher.ok());
+    const int client = subscribe(dir.path);
+    ASSERT_GE(client, 0);
+    publisher.pump();
+    ASSERT_EQ(publisher.subscriberCount(), 1u);
+
+    // The client never reads: once its socket buffer is full every
+    // send fails, and one failure past the bound disconnects it.
+    // None of those sends may block the caller.
+    StreamRecord big = makeRecord(StreamKind::Trace, 0.0);
+    big.json.insert(big.json.size() - 1,
+                    ",\"pad\":\"" + std::string(16 << 10, 'x') +
+                        '"');
+    const auto t0 = std::chrono::steady_clock::now();
+    for (int i = 0; i < 10000 && publisher.subscriberCount() > 0;
+         ++i)
+        publisher.handle(big);
+    const double elapsed =
+        std::chrono::duration<double>(
+            std::chrono::steady_clock::now() - t0)
+            .count();
+
+    EXPECT_EQ(publisher.subscriberCount(), 0u);
+    EXPECT_EQ(publisher.disconnects(), 1u);
+    EXPECT_GT(publisher.sent(), 0u);
+    EXPECT_EQ(publisher.dropped(),
+              SocketPublisher::kMaxSendFailures + 1u);
+    EXPECT_LT(elapsed, 5.0);
+    ::close(client);
 }
 
 TEST(SocketPublisher, OverlongPathLeavesTheSinkInert)

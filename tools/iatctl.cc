@@ -23,13 +23,10 @@
  *
  *   iatctl cluster [--shards=2] [--threads=1] [--seconds=0.2] ...
  *       Build the sharded multi-host world (DESIGN.md SS15), run it
- *       and print per-host remote-path latency, DRAM pressure and
- *       the migration log. --tcp additionally streams every host's
- *       records through a loopback TcpPublisher into one
- *       TcpCollector and reports the round-trip line count.
+ *       and print per-host remote-path latency, DRAM pressure, the
+ *       migration log and the cluster health transitions.
  */
 
-#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <string>
@@ -38,8 +35,6 @@
 #include "cluster/world.hh"
 #include "core/daemon.hh"
 #include "core/policy.hh"
-#include "obs/stream/exporter.hh"
-#include "obs/stream/tcp_pub.hh"
 #include "fault/injector.hh"
 #include "fault/plan.hh"
 #include "obs/telemetry.hh"
@@ -355,49 +350,11 @@ cmdCluster(const CliArgs &args)
         fatal("%s", e.what());
     }
     const double seconds = args.getDouble("seconds", 0.2);
-    const bool tcp = args.getBool("tcp");
-    const unsigned tcp_timeout_ms = static_cast<unsigned>(
-        args.getInt("tcp-timeout-ms", 2000));
 
     args.requireKnown();
 
     cluster::ClusterWorld world(cfg);
-
-    // --tcp: one loopback publisher fed by every host's records, one
-    // collector draining it -- the cluster-collector wiring iatsvc
-    // uses, exercised end to end from the CLI.
-    obs::stream::StreamDispatcher dispatcher;
-    obs::stream::TcpPublisher *publisher = nullptr;
-    std::unique_ptr<obs::stream::TcpCollector> collector;
-    if (tcp) {
-        auto pub = std::make_unique<obs::stream::TcpPublisher>();
-        if (!pub->ok())
-            fatal("could not bind a loopback TCP publisher");
-        publisher = pub.get();
-        dispatcher.adopt(std::move(pub));
-        collector = std::make_unique<obs::stream::TcpCollector>();
-        collector->setReconnect(true);
-        if (collector->connectTo(publisher->port(),
-                                 tcp_timeout_ms) < 0)
-            fatal("could not connect to publisher port %u within "
-                  "%u ms (is the endpoint alive? see "
-                  "--tcp-timeout-ms)",
-                  publisher->port(), tcp_timeout_ms);
-        publisher->pump(); // accept the pending connection
-        world.setDispatcher(&dispatcher);
-    }
-
-    // Epoch-by-epoch so the publisher can pump between barriers
-    // (sends are non-blocking; the collector drains as we go).
-    const auto epochs = static_cast<std::uint64_t>(
-        std::ceil(seconds / cfg.epoch_seconds - 1e-9));
-    for (std::uint64_t e = 0; e < epochs; ++e) {
-        world.run(cfg.epoch_seconds);
-        if (tcp) {
-            publisher->pump();
-            collector->poll();
-        }
-    }
+    world.run(seconds);
 
     std::printf("cluster: %u shards, %u worker threads, %llu epochs "
                 "(%.1f ms), scheduler %s\n",
@@ -471,30 +428,6 @@ cmdCluster(const CliArgs &args)
                 std::printf(", %s FIRING", rule.name.c_str());
         }
         std::printf("\n");
-    }
-    if (tcp) {
-        publisher->pump();
-        collector->poll();
-        std::printf("  tcp: %zu lines collected from port %u\n",
-                    collector->totalLines(), publisher->port());
-        std::printf("  tcp: publisher accepted %llu sent %llu "
-                    "dropped %llu disconnects %llu; collector "
-                    "disconnects %llu reconnects %llu (failed "
-                    "%llu)\n",
-                    static_cast<unsigned long long>(
-                        publisher->accepted()),
-                    static_cast<unsigned long long>(
-                        publisher->sent()),
-                    static_cast<unsigned long long>(
-                        publisher->dropped()),
-                    static_cast<unsigned long long>(
-                        publisher->disconnects()),
-                    static_cast<unsigned long long>(
-                        collector->disconnects()),
-                    static_cast<unsigned long long>(
-                        collector->reconnects()),
-                    static_cast<unsigned long long>(
-                        collector->reconnectFailures()));
     }
     return 0;
 }
@@ -598,10 +531,6 @@ usage()
         "failover --margin=0.2\n"
         "          --cooldown=12 --dead-after=8 --degraded-after=4\n"
         "          --batch-ws-mib=48 --seed=1\n"
-        "          --tcp (stream records through a loopback "
-        "publisher/collector)\n"
-        "          --tcp-timeout-ms=2000 (connect timeout; fails "
-        "fast on a dead endpoint)\n"
         "          --cfault-crash-host=<s> --cfault-crash-epoch=<e> "
         "--cfault-crash-recovery=<n>\n"
         "          --cfault-slow-host=<s> --cfault-slow-factor=<n> "

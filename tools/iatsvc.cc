@@ -57,10 +57,6 @@ usage()
         "  --stream=<file>      append every record as JSONL\n"
         "  --publish=<sock>     live-subscriber socket "
         "(nc -U <sock> to tail)\n"
-        "  --publish-tcp=<port> live-subscriber TCP listener on "
-        "127.0.0.1 (0 = ephemeral;\n"
-        "                       the stats command reports the bound "
-        "port)\n"
         "  --trace=<file>       snapshot trace target "
         "(written by the snapshot command)\n"
         "  --metrics=<file>     snapshot time-series target\n"
